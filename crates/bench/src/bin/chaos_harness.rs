@@ -1,58 +1,52 @@
 //! Chaos harness for the serving controller.
 //!
-//! Runs seeded fault scenarios against `gddr-serve` and checks
-//! serving SLOs: zero unanswered requests, every response rung-tagged
-//! with a routing valid for the active topology, bounded p99 ladder
-//! depth, and recovery within a fixed number of requests after the
-//! fault window closes. Every scenario runs **twice** and the two
-//! rung sequences must be bit-identical — determinism is itself an
-//! SLO.
+//! Runs seeded scenarios against `gddr-serve` and checks serving
+//! SLOs: zero unanswered requests, every response rung-tagged with a
+//! routing valid for the active topology, bounded p99 ladder depth,
+//! plus each scenario's own gates (recovery after the last fault,
+//! failovers, hedges, warm or cold restarts). Every scenario runs
+//! **twice** and the two outcomes — rung, failover and applied-event
+//! sequences, counters and violations — must be identical:
+//! determinism is itself an SLO.
 //!
-//! The `budget_zero` scenario is deliberately broken (restart budget
-//! zero under a panic storm) and must FAIL its recovery SLO: it
-//! proves the harness detects violations rather than rubber-stamping.
-//! All other scenarios must pass.
+//! Scenarios come from the registry in `gddr_serve::chaos`, one
+//! group per CI smoke leg:
 //!
-//! Replication scenarios (`--scenario replication`, or any name from
-//! `replication_scenario_names`) drive a replica set instead of a
-//! bare controller: primary kill + failover, hedged stragglers,
-//! rolling retools under live maintenance, and a flapping replica.
-//! Their determinism digest covers the failover sequence too, and
-//! `replicas_exhausted` is their deliberately broken member.
+//! - `faults` — a single controller under worker panics, oracle pivot
+//!   storms, slow and hung inference, malformed matrices, overload
+//!   bursts and link failure,
+//! - `replication` — replica sets: primary kill and failover, hedged
+//!   stragglers, rolling retools under live maintenance, a flapping
+//!   replica,
+//! - `dynamics` — sharded fleets under a compiled dynamics timeline
+//!   (link flaps, rolling maintenance, stacked drains) over scenario
+//!   traffic and synthetic WANs up to 400 nodes,
+//! - `recovery` — crash and restart from the durable store, a
+//!   corruption sweep, and a lying manifest.
 //!
-//! Dynamic scenarios (`--scenario dynamics`, or any name from
-//! `dynamic_scenario_names`) drive a sharded fleet under a compiled
-//! [`DynamicsPlan`] timeline: link flaps with repair timers, rolling
-//! maintenance windows and stacked capacity drains applied between
-//! serving epochs, over scenario traffic (diurnal cycles, flash
-//! crowds, elephant/mice mixes) and synthetic hierarchical WANs up to
-//! 400 nodes. Their determinism digest further extends to the
-//! applied-event sequence, and `broken_blackout` is their
-//! deliberately broken member.
-//!
-//! Recovery scenarios (`--scenario recovery`, or any name from
-//! `recovery_scenario_names`) crash a snapshot-enabled fleet
-//! mid-serve and restart it from its durable store: a clean
-//! crash/restore must come back warm on the restored LastGood rung,
-//! a corruption sweep (torn writes, bit flips, missing files) must
-//! cold-start cleanly with typed errors, and `manifest_lies` — whose
-//! manifest pins bytes it does not match — is their deliberately
-//! broken member: the store correctly refuses the warm restore the
-//! scenario demands.
-//!
-//! [`DynamicsPlan`]: gddr_serve::scenario::DynamicsPlan
+//! `all` runs every entry; names and groups can be mixed in a comma
+//! list. Entries marked `expect_fail` (`budget_zero`,
+//! `replicas_exhausted`, `broken_blackout`, `manifest_lies`) are
+//! deliberately broken and must FAIL: they prove the harness detects
+//! violations rather than rubber-stamping. Every other entry must
+//! pass. A run is raised to each entry's request
+//! floor (88 for the dynamics group, enough to cover its event
+//! horizon). `tools/check_digests.sh` compares the written report
+//! against the golden per-scenario digests in
+//! `results/SCENARIO_digests.json`.
 //!
 //! ```text
-//! chaos_harness [--scenario all|replication|dynamics|recovery|<name>[,<name>...]]
+//! chaos_harness [--scenario all|<group>|<name>[,...]]
+//!               (group: faults|replication|dynamics|recovery)
 //!               [--seed N] [--requests N] [--out PATH]
 //!               [--telemetry PATH] [--postmortem PATH]
 //! ```
 //!
 //! A bounded flight recorder is always installed: the first
-//! `slo_alert` (the deliberately broken `budget_zero` scenario burns
-//! its error budget) — or, failing that, the first unexpected
-//! violation — dumps the recent event history to `--postmortem` as
-//! replayable JSONL.
+//! `slo_alert` (entries whose spec sets `slo.slo_alert` burn their
+//! error budget and must leave one) — or, failing that, the first
+//! unexpected violation — dumps the recent event history to
+//! `--postmortem` as replayable JSONL.
 //!
 //! Exits non-zero on any unexpected result and prints the scenario
 //! name and seed needed to reproduce it:
@@ -65,11 +59,8 @@ use std::sync::Arc;
 
 use gddr_bench::{flag, parse_args, write_artifact};
 use gddr_ser::Json;
-use gddr_serve::chaos::{
-    recovery_scenario_names, replication_scenario_names, run_recovery_scenario,
-    run_replication_scenario, run_scenario, scenario_names, scenario_seed, ScenarioOutcome,
-};
-use gddr_serve::scenario::{dynamic_scenario_names, run_dynamic_scenario};
+use gddr_serve::chaos::{registry, run, scenario_seed};
+use gddr_serve::{ScenarioOutcome, ScenarioSpec};
 use gddr_telemetry::{FlightRecorder, JsonlSink, Sink, TeeSink};
 
 fn outcome_json(outcome: &ScenarioOutcome, expected_fail: bool, deterministic: bool) -> Json {
@@ -134,17 +125,22 @@ fn main() {
     gddr_telemetry::install(Arc::new(TeeSink::new(sinks)));
 
     let scenario_arg = args.get("scenario").map(String::as_str).unwrap_or("all");
-    let owned: Vec<String>;
-    let scenarios: Vec<&str> = match scenario_arg {
-        "all" => scenario_names().to_vec(),
-        "replication" => replication_scenario_names().to_vec(),
-        "dynamics" => dynamic_scenario_names().to_vec(),
-        "recovery" => recovery_scenario_names().to_vec(),
-        list => {
-            owned = list.split(',').map(str::to_string).collect();
-            owned.iter().map(String::as_str).collect()
-        }
+    let registry = registry();
+    let picked = |s: &ScenarioSpec| {
+        scenario_arg
+            .split(',')
+            .any(|arg| arg == "all" || arg == s.group.name() || arg == s.name)
     };
+    for arg in scenario_arg.split(',') {
+        assert!(
+            arg == "all"
+                || registry
+                    .iter()
+                    .any(|s| arg == s.group.name() || arg == s.name),
+            "unknown scenario or group '{arg}'"
+        );
+    }
+    let scenarios: Vec<&ScenarioSpec> = registry.iter().filter(|s| picked(s)).collect();
     let base_seed: u64 = flag(&args, "seed", 42);
     let requests: usize = flag(&args, "requests", 48);
     let out = args
@@ -158,56 +154,18 @@ fn main() {
 
     let mut results = Vec::new();
     let mut unexpected: Vec<String> = Vec::new();
-    for name in &scenarios {
+    for spec in &scenarios {
+        let name = spec.name;
         let seed = scenario_seed(base_seed, name);
-        let expected_fail = *name == "budget_zero"
-            || *name == "replicas_exhausted"
-            || *name == "broken_blackout"
-            || *name == "manifest_lies";
-        let replicated = replication_scenario_names().contains(name);
-        let dynamic = dynamic_scenario_names().contains(name);
-        let recovery = recovery_scenario_names().contains(name);
+        let expected_fail = spec.expect_fail;
         // Replay-determinism SLO: same seed, same scenario, twice.
-        // Replicated scenarios extend the digest with the failover
-        // sequence; dynamic ones add the applied-event sequence.
-        // Dynamic scenarios need enough requests to cover their event
-        // horizons, so the floor is raised for them.
-        let (first, second) = if dynamic {
-            let req = requests.max(88);
-            (
-                run_dynamic_scenario(name, seed, req),
-                run_dynamic_scenario(name, seed, req),
-            )
-        } else if replicated {
-            (
-                run_replication_scenario(name, seed, requests),
-                run_replication_scenario(name, seed, requests),
-            )
-        } else if recovery {
-            (
-                run_recovery_scenario(name, seed, requests),
-                run_recovery_scenario(name, seed, requests),
-            )
-        } else {
-            (
-                run_scenario(name, seed, requests),
-                run_scenario(name, seed, requests),
-            )
-        };
+        let (first, second) = (run(name, seed, requests), run(name, seed, requests));
         match (first, second) {
             (Ok(a), Ok(b)) => {
-                let deterministic = a.rung_sequence == b.rung_sequence
-                    && a.failover_sequence == b.failover_sequence
-                    && a.event_sequence == b.event_sequence;
+                let deterministic = a == b;
                 if !deterministic {
                     unexpected.push(format!(
-                        "{name}: same-seed replay diverged ({}/{}/{} vs {}/{}/{})",
-                        a.rung_sequence,
-                        a.failover_sequence,
-                        a.event_sequence,
-                        b.rung_sequence,
-                        b.failover_sequence,
-                        b.event_sequence
+                        "{name}: same-seed replay diverged ({a:?} vs {b:?})"
                     ));
                 }
                 if expected_fail && a.passed() {
@@ -250,15 +208,11 @@ fn main() {
     }
     let _ = std::panic::take_hook();
 
-    // The deliberately broken scenarios (budget_zero; the replicated
-    // replicas_exhausted; the dynamic broken_blackout) burn their
-    // whole error budget, so any run including one must leave a
+    // Entries that burn their whole error budget must leave a
     // postmortem behind whose trigger — and final line — is an
     // slo_alert.
     let mut postmortem_alerts = 0usize;
-    let broken_included = scenarios.contains(&"budget_zero")
-        || scenarios.contains(&"replicas_exhausted")
-        || scenarios.contains(&"broken_blackout");
+    let broken_included = scenarios.iter().any(|s| s.slo.slo_alert);
     if broken_included {
         if !recorder.has_dumped() {
             unexpected

@@ -11,16 +11,18 @@
 //!   unit-weight shortest-path routing (`"sp_routing"`) — ratios are
 //!   then comparative, not optimality gaps, and the JSON labels them
 //!   as such.
-//! - **serve-side behaviour** — the matching dynamic chaos scenario
-//!   ([`gddr_serve::scenario::run_dynamic_scenario`]) is run under the
-//!   fleet and its p99 ladder-rung depth, answered/submitted counts
-//!   and applied-event digest are recorded.
+//! - **serve-side behaviour** — the matching registry scenario
+//!   ([`gddr_serve::chaos::run`]) is run under the fleet and its p99
+//!   ladder-rung depth, answered/submitted counts and applied-event
+//!   digest are recorded.
 //!
-//! The cesnet regimes use a policy PPO-trained in-process (like
-//! `robustness_sweep`); the WAN regimes use an untrained policy of the
-//! same shape the serving engines deploy — policies are
-//! topology-shaped (`memory·n²` inputs), so a zoo-trained MLP cannot
-//! transfer to a 400-node WAN.
+//! The regimes are the dynamics-group entries of the scenario
+//! registry that are not deliberately broken; each regime's graph and
+//! traffic model come from its registry spec. The cesnet regimes use
+//! a policy PPO-trained in-process (like `robustness_sweep`); the WAN
+//! regimes use an untrained policy of the shape the registry deploys —
+//! policies are topology-shaped (`memory·n²` inputs), so a
+//! zoo-trained MLP cannot transfer to a 400-node WAN.
 //!
 //! ```text
 //! cargo run -p gddr-bench --release --bin scenario_sweep -- \
@@ -36,7 +38,6 @@ use gddr_bench::{flag, parse_args, write_artifact};
 use gddr_core::env::{standard_sequences, DdrEnv, DdrEnvConfig, GraphContext};
 use gddr_core::policies::MlpPolicy;
 use gddr_lp::CachedOracle;
-use gddr_net::topology::hierarchical::hierarchical_wan_sized;
 use gddr_net::topology::zoo;
 use gddr_net::Graph;
 use gddr_rl::{FaultTolerance, Ppo, PpoConfig, TrainingLog};
@@ -46,16 +47,10 @@ use gddr_routing::baselines::shortest_path_routing;
 use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::softmin_routing;
 use gddr_ser::Json;
-use gddr_serve::chaos::scenario_seed;
+use gddr_serve::chaos::{registry, run, scenario_seed};
 use gddr_serve::engine::{InferenceEngine, PolicyEngine};
-use gddr_serve::scenario::run_dynamic_scenario;
-use gddr_serve::{EpochRequest, DEFAULT_DEADLINE_MS};
+use gddr_serve::{EpochRequest, Group, Topology, DEFAULT_DEADLINE_MS};
 use gddr_telemetry::Reporter;
-use gddr_traffic::gen::BimodalParams;
-use gddr_traffic::scenario::{
-    diurnal_flash_crowd, elephant_mice, ElephantMiceParams, FlashCrowdParams,
-};
-use gddr_traffic::sequence::noisy_cyclical;
 use gddr_traffic::DemandMatrix;
 
 /// What `U_agent` is measured against.
@@ -78,7 +73,6 @@ impl Reference {
 
 /// One regime's quality-side definition.
 struct Regime {
-    name: &'static str,
     graph: Graph,
     demands: Vec<DemandMatrix>,
     reference: Reference,
@@ -182,138 +176,73 @@ fn main() {
     let args = parse_args(&["regimes", "steps", "eval-steps", "requests", "seed", "out"]);
     let steps = flag(&args, "steps", 1_200usize);
     let eval_steps = flag(&args, "eval-steps", 16usize);
-    let requests = flag(&args, "requests", 88usize).max(88);
+    let requests = flag(&args, "requests", 88usize);
     let seed = flag(&args, "seed", 42u64);
     let out = args
         .get("out")
         .cloned()
         .unwrap_or_else(|| "results/BENCH_scenario_sweep.json".to_string());
-    let all = [
-        "diurnal_flash_crowd",
-        "rolling_maintenance",
-        "flap_storm",
-        "big_wan_drain",
-    ];
-    let selected: Vec<String> = match args.get("regimes") {
-        Some(list) => list.split(',').map(str::to_string).collect(),
-        None => all.iter().map(|s| s.to_string()).collect(),
-    };
-    for name in &selected {
+    let all: Vec<_> = registry()
+        .into_iter()
+        .filter(|s| s.group == Group::Dynamics && !s.expect_fail)
+        .collect();
+    let known: Vec<_> = all.iter().map(|s| s.name).collect();
+    let regimes = args.get("regimes").map_or(known.join(","), String::clone);
+    for name in regimes.split(',') {
         assert!(
-            all.contains(&name.as_str()),
+            known.contains(&name),
             "unknown regime '{name}' (known: {})",
-            all.join(",")
+            known.join(",")
         );
     }
+    let selected: Vec<_> = all
+        .iter()
+        .filter(|s| regimes.split(',').any(|name| name == s.name))
+        .collect();
 
     let reporter = Reporter::new("scenario_sweep");
-    let cesnet = zoo::cesnet();
-    let needs_cesnet = selected
+    let trained = selected
         .iter()
-        .any(|n| n == "diurnal_flash_crowd" || n == "rolling_maintenance");
-    let trained = if needs_cesnet {
-        Some(train_cesnet_policy(&cesnet, steps, seed, &reporter))
-    } else {
-        None
-    };
+        .any(|s| s.topology == Topology::Cesnet)
+        .then(|| train_cesnet_policy(&zoo::cesnet(), steps, seed, &reporter));
 
     let mut results = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     println!("# Scenario sweep — per-regime U_agent/U_ref and serve-side p99 rung depth");
     println!("regime,nodes,reference,policy,mean_ratio,max_ratio,serve_p99_depth,serve_answered");
-    for name in &selected {
+    for spec in &selected {
+        let name = spec.name;
         let mut rng = StdRng::seed_from_u64(scenario_seed(seed, name) ^ 0x5eed);
-        let regime = match name.as_str() {
-            "diurnal_flash_crowd" => {
-                let n = cesnet.num_nodes();
-                Regime {
-                    name: "diurnal_flash_crowd",
-                    graph: cesnet.clone(),
-                    demands: diurnal_flash_crowd(
-                        n,
-                        eval_steps,
-                        12,
-                        0.3,
-                        600.0 * (n * (n - 1)) as f64,
-                        &FlashCrowdParams::default(),
-                        &mut rng,
-                    ),
-                    reference: Reference::LpOpt(Box::new(CachedOracle::new(cesnet.clone()))),
-                    policy: trained.clone().expect("cesnet policy trained"),
-                    policy_label: "trained",
-                    memory: 2,
-                }
+        let graph = spec.topology.build(seed);
+        let demands = spec
+            .traffic
+            .sequence(graph.num_nodes(), eval_steps, &mut rng)
+            .expect("dynamics regimes carry a demand sequence");
+        let regime = if spec.topology == Topology::Cesnet {
+            Regime {
+                reference: Reference::LpOpt(Box::new(CachedOracle::new(graph.clone()))),
+                graph,
+                demands,
+                policy: trained.clone().expect("cesnet policy trained"),
+                policy_label: "trained",
+                memory: 2,
             }
-            "rolling_maintenance" => {
-                let n = cesnet.num_nodes();
-                Regime {
-                    name: "rolling_maintenance",
-                    graph: cesnet.clone(),
-                    demands: noisy_cyclical(
-                        n,
-                        6,
-                        eval_steps,
-                        0.1,
-                        &BimodalParams::default(),
-                        &mut rng,
-                    ),
-                    reference: Reference::LpOpt(Box::new(CachedOracle::new(cesnet.clone()))),
-                    policy: trained.clone().expect("cesnet policy trained"),
-                    policy_label: "trained",
-                    memory: 2,
-                }
-            }
-            "flap_storm" => {
-                let g = hierarchical_wan_sized(100, &mut StdRng::seed_from_u64(seed ^ 0x1a57));
-                let n = g.num_nodes();
-                let policy = MlpPolicy::new(
-                    2,
-                    n,
-                    g.num_edges(),
-                    &[8],
+        } else {
+            Regime {
+                policy: MlpPolicy::new(
+                    spec.memory,
+                    graph.num_nodes(),
+                    graph.num_edges(),
+                    &spec.hidden,
                     -0.5,
                     &mut StdRng::seed_from_u64(seed),
-                );
-                Regime {
-                    name: "flap_storm",
-                    graph: g,
-                    demands: elephant_mice(n, eval_steps, &ElephantMiceParams::default(), &mut rng),
-                    reference: Reference::SpRouting,
-                    policy,
-                    policy_label: "untrained",
-                    memory: 2,
-                }
+                ),
+                graph,
+                demands,
+                reference: Reference::SpRouting,
+                policy_label: "untrained",
+                memory: spec.memory,
             }
-            "big_wan_drain" => {
-                let g = hierarchical_wan_sized(400, &mut StdRng::seed_from_u64(seed ^ 0xb16));
-                let n = g.num_nodes();
-                let policy = MlpPolicy::new(
-                    1,
-                    n,
-                    g.num_edges(),
-                    &[4],
-                    -0.5,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                Regime {
-                    name: "big_wan_drain",
-                    graph: g,
-                    demands: elephant_mice(
-                        n,
-                        eval_steps,
-                        &ElephantMiceParams {
-                            elephants: 12,
-                            ..ElephantMiceParams::default()
-                        },
-                        &mut rng,
-                    ),
-                    reference: Reference::SpRouting,
-                    policy,
-                    policy_label: "untrained",
-                    memory: 1,
-                }
-            }
-            _ => unreachable!("regimes validated above"),
         };
 
         let (mean_ratio, max_ratio) = quality_sweep(&regime);
@@ -326,8 +255,7 @@ fn main() {
             ));
         }
 
-        let serve = run_dynamic_scenario(name, scenario_seed(seed, name), requests)
-            .expect("dynamic scenario runs");
+        let serve = run(name, scenario_seed(seed, name), requests).expect("dynamic scenario runs");
         if !serve.passed() {
             for v in &serve.violations {
                 failures.push(format!("{name} (serve): {v}"));
@@ -336,7 +264,7 @@ fn main() {
 
         println!(
             "{},{},{},{},{:.4},{:.4},{},{}",
-            regime.name,
+            name,
             regime.graph.num_nodes(),
             regime.reference.label(),
             regime.policy_label,
@@ -346,7 +274,7 @@ fn main() {
             serve.answered
         );
         results.push(Json::obj([
-            ("regime", Json::Str(regime.name.to_string())),
+            ("regime", Json::Str(name.to_string())),
             ("nodes", Json::Num(regime.graph.num_nodes() as f64)),
             ("edges", Json::Num(regime.graph.num_edges() as f64)),
             ("reference", Json::Str(regime.reference.label().to_string())),

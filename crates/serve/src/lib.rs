@@ -25,10 +25,13 @@
 //!   overload; shed requests are still answered from the ladder,
 //! - [`health`] — Starting/Healthy/Degraded/Unhealthy, derived after
 //!   every response and streamed as telemetry,
-//! - [`chaos`] — seeded fault scenarios (worker panics, oracle pivot
-//!   storms, slow inference, malformed matrices, queue overload,
-//!   link failures, hangs) with SLO checks, driven by the
-//!   `chaos_harness` bench binary,
+//! - [`scenario`] — the scenario engine: one [`ScenarioSpec`] type
+//!   (fleet shape, per-replica fault plans, traffic, a
+//!   [`DynamicsPlan`] of live topology churn, an optional crash step,
+//!   SLO gates) and one runner driving it through [`ShardRouter`];
+//!   [`chaos`] registers the named scenarios (worker panics, oracle
+//!   storms, failover, flap storms, crash recovery, ...) that the
+//!   `chaos_harness` bench binary replays,
 //! - [`fleet`] — a sharded multi-topology router: one supervised
 //!   controller per topology, same-tick requests coalesced into a
 //!   single batched GNN forward pass (bit-identical to per-request
@@ -78,11 +81,7 @@ pub mod snapshot;
 pub mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{
-    recovery_scenario_names, replication_scenario_names, run_recovery_scenario,
-    run_replication_scenario, run_scenario, scenario_names, scenario_seed, MaintenanceAction,
-    MaintenancePlan, ScenarioOutcome,
-};
+pub use chaos::{registry, scenario_seed, MIN_REQUESTS};
 pub use controller::{Controller, ControllerConfig, ServeStats};
 pub use engine::{
     BatchItem, ChaosEngine, EngineFactory, Fault, FaultPlan, InferenceEngine, PolicyEngine,
@@ -97,7 +96,7 @@ pub use replica::{
 };
 pub use request::{EpochRequest, RouteResponse, Rung, ServeError, DEFAULT_DEADLINE_MS};
 pub use scenario::{
-    dynamic_scenario_names, run_dynamic_scenario, DynamicsEvent, DynamicsPlan, DynamicsTimeline,
-    ScenarioError, TickActions, MAX_HORIZON,
+    CrashStep, Damage, DynamicsEvent, DynamicsPlan, DynamicsTimeline, Group, Load, Malformed,
+    ScenarioError, ScenarioOutcome, ScenarioSpec, Slo, TickActions, Topology, Traffic, MAX_HORIZON,
 };
 pub use worker::{ExecMode, PoolConfig, WorkerPool};

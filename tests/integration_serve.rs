@@ -10,8 +10,8 @@ use gddr_net::Graph;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
 use gddr_serve::{
-    run_scenario, Controller, ControllerConfig, EngineFactory, EpochRequest, FaultPlan,
-    InferenceEngine, PolicyEngine, Rung, DEFAULT_DEADLINE_MS,
+    chaos, Controller, ControllerConfig, EngineFactory, EpochRequest, FaultPlan, InferenceEngine,
+    PolicyEngine, Rung, DEFAULT_DEADLINE_MS,
 };
 use gddr_traffic::gen::{bimodal, BimodalParams};
 use gddr_traffic::DemandMatrix;
@@ -167,8 +167,8 @@ fn malformed_requests_never_go_unanswered() {
 #[test]
 fn chaos_scenarios_replay_deterministically() {
     for name in ["worker_panic", "slow_inference", "overload_burst"] {
-        let a = run_scenario(name, 1234, 40).unwrap();
-        let b = run_scenario(name, 1234, 40).unwrap();
+        let a = chaos::run(name, 1234, 40).unwrap();
+        let b = chaos::run(name, 1234, 40).unwrap();
         assert_eq!(
             a.rung_sequence, b.rung_sequence,
             "{name}: same-seed replay diverged"

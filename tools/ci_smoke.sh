@@ -45,14 +45,17 @@ case "$LEG" in
       | tee "$ART/robustness_sweep.csv"
     ;;
   chaos)
-    # Serving SLOs under seeded faults, then validate the serve-mode
-    # telemetry trace (shard-tagged events round-trip). budget_zero
-    # burns its error budget, so the flight recorder must leave an
-    # slo_alert postmortem behind — uploaded with the artifacts.
+    # Serving SLOs under seeded faults (the registry's `faults` group),
+    # pinned against the golden scenario digests, then validate the
+    # serve-mode telemetry trace (shard-tagged events round-trip).
+    # budget_zero burns its error budget, so the flight recorder must
+    # leave an slo_alert postmortem behind — uploaded with the
+    # artifacts.
     run chaos_harness -- \
-      --scenario all --seed 42 --requests 48 \
+      --scenario faults --seed 42 --requests 48 \
       --out "$ART/chaos_report.json" --telemetry "$ART/chaos_events.jsonl" \
       --postmortem "$ART/chaos_postmortem.jsonl"
+    bash tools/check_digests.sh "$ART/chaos_report.json"
     run telemetry_check -- --file "$ART/chaos_events.jsonl" --mode serve
     ;;
   serve_load)
@@ -93,6 +96,7 @@ case "$LEG" in
       --scenario replication --seed 42 --requests 48 \
       --out "$ART/failover_report.json" --telemetry "$ART/failover_events.jsonl" \
       --postmortem "$ART/failover_postmortem.jsonl"
+    bash tools/check_digests.sh "$ART/failover_report.json"
     run telemetry_check -- --file "$ART/failover_events.jsonl" --mode serve
     ;;
   scenario)
@@ -108,6 +112,7 @@ case "$LEG" in
       --scenario dynamics --seed 42 --requests 88 \
       --out "$ART/scenario_report.json" --telemetry "$ART/scenario_events.jsonl" \
       --postmortem "$ART/scenario_postmortem.jsonl"
+    bash tools/check_digests.sh "$ART/scenario_report.json"
     run telemetry_check -- --file "$ART/scenario_events.jsonl" --mode serve \
       --relax breaker_transition,worker_restart,request_shed,health_transition
     run scenario_sweep -- \
@@ -115,8 +120,8 @@ case "$LEG" in
       --out "$ART/BENCH_scenario_sweep.json"
     ;;
   recovery)
-    # Crash-consistent fleet state: crash/restore at the half-way
-    # tick (warm restart on the restored LastGood rung), a corruption
+    # Crash-consistent fleet state: crash/restore at tick 12 (warm
+    # restart on the restored LastGood rung), a corruption
     # sweep (torn prefixes, bit flips, missing record/manifest — every
     # case a typed cold start), and the deliberately broken
     # manifest_lies (a stale record under an intact manifest is
@@ -130,6 +135,7 @@ case "$LEG" in
       --scenario recovery --seed 42 --requests 48 \
       --out "$ART/recovery_report.json" --telemetry "$ART/recovery_events.jsonl" \
       --postmortem "$ART/recovery_postmortem.jsonl"
+    bash tools/check_digests.sh "$ART/recovery_report.json"
     run telemetry_check -- --file "$ART/recovery_events.jsonl" --mode serve \
       --relax breaker_transition,worker_restart,request_shed,health_transition
     run fuzz_harness -- \
