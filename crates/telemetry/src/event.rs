@@ -747,168 +747,171 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, JsonError> {
         .collect()
 }
 
+/// One or more sample events of every kind, shared by the codec,
+/// golden-stream and ring-placement tests.
+#[cfg(test)]
+pub(crate) fn samples() -> Vec<Event> {
+    vec![
+        Event::Span {
+            name: "env.step".into(),
+            parent: Some("ppo.rollout".into()),
+            depth: 1,
+            start_us: 12,
+            dur_ns: 34_567,
+        },
+        Event::Span {
+            name: "root".into(),
+            parent: None,
+            depth: 0,
+            start_us: 0,
+            dur_ns: 1,
+        },
+        Event::Counter {
+            name: "lp.oracle.hits".into(),
+            delta: 1,
+            total: 42,
+        },
+        Event::Gauge {
+            name: "ppo.entropy".into(),
+            value: -1.25,
+        },
+        Event::Histogram {
+            name: "env.reward_ratio".into(),
+            value: 1.5,
+        },
+        Event::Message {
+            name: "fig7".into(),
+            text: "completed in 1.0s".into(),
+        },
+        Event::Checkpoint {
+            step: 2048,
+            path: "out/ckpt.json".into(),
+        },
+        Event::Rollback {
+            step: 4096,
+            reason: "non-finite updates".into(),
+            lr_scale: 0.5,
+        },
+        Event::LpFallback {
+            strategy: "shortest_path_bound".into(),
+            degraded: true,
+        },
+        Event::FaultInjected {
+            graph: "Abilene".into(),
+            edges_removed: 2,
+        },
+        Event::RungServed {
+            shard: 3,
+            epoch: 17,
+            rung: "last_good".into(),
+            shed: false,
+            trace: 9,
+        },
+        Event::BreakerTransition {
+            shard: 0,
+            from: "closed".into(),
+            to: "open".into(),
+            epoch: 18,
+        },
+        Event::WorkerRestart {
+            shard: 2,
+            worker: 1,
+            restarts: 3,
+            backoff_epochs: 4,
+        },
+        Event::RequestShed {
+            shard: 1,
+            epoch: 19,
+            queue_len: 8,
+        },
+        Event::HealthTransition {
+            shard: 4,
+            from: "healthy".into(),
+            to: "degraded".into(),
+            epoch: 20,
+        },
+        Event::TraceSpan {
+            trace_id: 9,
+            shard: 3,
+            name: "serve.infer".into(),
+            start_us: 120,
+            dur_ns: 45_000,
+            attrs: vec![
+                ("batch_size".into(), "4".into()),
+                ("slot".into(), "1".into()),
+            ],
+        },
+        Event::TraceAnnotation {
+            trace_id: 9,
+            shard: 3,
+            name: "fleet.admitted".into(),
+            at_us: 100,
+            attrs: vec![("epoch".into(), "17".into())],
+        },
+        Event::TraceAnnotation {
+            trace_id: 10,
+            shard: 0,
+            name: "fleet.response".into(),
+            at_us: 250,
+            // Hostile attr values must escape and round-trip.
+            attrs: vec![("note".into(), "q\"uo\\te\n\u{1F980}".into())],
+        },
+        Event::SloAlert {
+            shard: 5,
+            metric: "serve.fresh_fraction".into(),
+            burn_rate: 6.25,
+            threshold: 4.0,
+            window: 64,
+            epoch: 21,
+        },
+        Event::Failover {
+            shard: 6,
+            from_replica: 0,
+            to_replica: 1,
+            reason: "consecutive_degraded".into(),
+            clock: 22,
+        },
+        Event::HedgeFired {
+            shard: 6,
+            epoch: 11,
+            primary: 1,
+            standby: 0,
+            wins: 3,
+            batch: 4,
+        },
+        Event::ReplicaRecovered {
+            shard: 6,
+            replica: 0,
+            probes: 8,
+            clock: 40,
+        },
+        Event::SnapshotWritten {
+            shards: 3,
+            epoch: 96,
+            generation: 4,
+            bytes: 2_048,
+            path: "out/fleet-store".into(),
+        },
+        Event::Recovery {
+            shards: 3,
+            outcome: "warm".into(),
+            generation: 4,
+            epoch: 96,
+            detail: String::new(),
+        },
+        Event::Recovery {
+            shards: 3,
+            outcome: "cold".into(),
+            generation: 0,
+            epoch: 0,
+            detail: "checksum_mismatch".into(),
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn samples() -> Vec<Event> {
-        vec![
-            Event::Span {
-                name: "env.step".into(),
-                parent: Some("ppo.rollout".into()),
-                depth: 1,
-                start_us: 12,
-                dur_ns: 34_567,
-            },
-            Event::Span {
-                name: "root".into(),
-                parent: None,
-                depth: 0,
-                start_us: 0,
-                dur_ns: 1,
-            },
-            Event::Counter {
-                name: "lp.oracle.hits".into(),
-                delta: 1,
-                total: 42,
-            },
-            Event::Gauge {
-                name: "ppo.entropy".into(),
-                value: -1.25,
-            },
-            Event::Histogram {
-                name: "env.reward_ratio".into(),
-                value: 1.5,
-            },
-            Event::Message {
-                name: "fig7".into(),
-                text: "completed in 1.0s".into(),
-            },
-            Event::Checkpoint {
-                step: 2048,
-                path: "out/ckpt.json".into(),
-            },
-            Event::Rollback {
-                step: 4096,
-                reason: "non-finite updates".into(),
-                lr_scale: 0.5,
-            },
-            Event::LpFallback {
-                strategy: "shortest_path_bound".into(),
-                degraded: true,
-            },
-            Event::FaultInjected {
-                graph: "Abilene".into(),
-                edges_removed: 2,
-            },
-            Event::RungServed {
-                shard: 3,
-                epoch: 17,
-                rung: "last_good".into(),
-                shed: false,
-                trace: 9,
-            },
-            Event::BreakerTransition {
-                shard: 0,
-                from: "closed".into(),
-                to: "open".into(),
-                epoch: 18,
-            },
-            Event::WorkerRestart {
-                shard: 2,
-                worker: 1,
-                restarts: 3,
-                backoff_epochs: 4,
-            },
-            Event::RequestShed {
-                shard: 1,
-                epoch: 19,
-                queue_len: 8,
-            },
-            Event::HealthTransition {
-                shard: 4,
-                from: "healthy".into(),
-                to: "degraded".into(),
-                epoch: 20,
-            },
-            Event::TraceSpan {
-                trace_id: 9,
-                shard: 3,
-                name: "serve.infer".into(),
-                start_us: 120,
-                dur_ns: 45_000,
-                attrs: vec![
-                    ("batch_size".into(), "4".into()),
-                    ("slot".into(), "1".into()),
-                ],
-            },
-            Event::TraceAnnotation {
-                trace_id: 9,
-                shard: 3,
-                name: "fleet.admitted".into(),
-                at_us: 100,
-                attrs: vec![("epoch".into(), "17".into())],
-            },
-            Event::TraceAnnotation {
-                trace_id: 10,
-                shard: 0,
-                name: "fleet.response".into(),
-                at_us: 250,
-                // Hostile attr values must escape and round-trip.
-                attrs: vec![("note".into(), "q\"uo\\te\n\u{1F980}".into())],
-            },
-            Event::SloAlert {
-                shard: 5,
-                metric: "serve.fresh_fraction".into(),
-                burn_rate: 6.25,
-                threshold: 4.0,
-                window: 64,
-                epoch: 21,
-            },
-            Event::Failover {
-                shard: 6,
-                from_replica: 0,
-                to_replica: 1,
-                reason: "consecutive_degraded".into(),
-                clock: 22,
-            },
-            Event::HedgeFired {
-                shard: 6,
-                epoch: 11,
-                primary: 1,
-                standby: 0,
-                wins: 3,
-                batch: 4,
-            },
-            Event::ReplicaRecovered {
-                shard: 6,
-                replica: 0,
-                probes: 8,
-                clock: 40,
-            },
-            Event::SnapshotWritten {
-                shards: 3,
-                epoch: 96,
-                generation: 4,
-                bytes: 2_048,
-                path: "out/fleet-store".into(),
-            },
-            Event::Recovery {
-                shards: 3,
-                outcome: "warm".into(),
-                generation: 4,
-                epoch: 96,
-                detail: String::new(),
-            },
-            Event::Recovery {
-                shards: 3,
-                outcome: "cold".into(),
-                generation: 0,
-                epoch: 0,
-                detail: "checksum_mismatch".into(),
-            },
-        ]
-    }
 
     #[test]
     fn events_round_trip_losslessly() {

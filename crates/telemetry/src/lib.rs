@@ -540,6 +540,7 @@ pub fn recovery_event(shards: u64, outcome: &str, generation: u64, epoch: u64, d
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::ToJson;
     use std::sync::Mutex;
 
     /// Serialises tests that touch the global sink/registry: unit tests
@@ -918,6 +919,134 @@ mod tests {
                 assert_eq!(sink.events().len(), 2, "one counter + one typed event");
             });
         }
+    }
+
+    /// Streams a counter-bearing sample through its kind's emit helper;
+    /// false for kinds without one.
+    fn emit_sample(event: &Event) -> bool {
+        match event {
+            Event::Checkpoint { step, path } => checkpoint_event(*step, path),
+            Event::Rollback {
+                step,
+                reason,
+                lr_scale,
+            } => rollback_event(*step, reason, *lr_scale),
+            Event::LpFallback { strategy, degraded } => lp_fallback_event(strategy, *degraded),
+            Event::FaultInjected {
+                graph,
+                edges_removed,
+            } => fault_injected_event(graph, *edges_removed),
+            Event::RungServed {
+                shard,
+                epoch,
+                rung,
+                shed,
+                trace,
+            } => rung_served_event(*shard, *epoch, rung, *shed, *trace),
+            Event::BreakerTransition {
+                shard,
+                from,
+                to,
+                epoch,
+            } => breaker_transition_event(*shard, from, to, *epoch),
+            Event::WorkerRestart {
+                shard,
+                worker,
+                restarts,
+                backoff_epochs,
+            } => worker_restart_event(*shard, *worker, *restarts, *backoff_epochs),
+            Event::RequestShed {
+                shard,
+                epoch,
+                queue_len,
+            } => request_shed_event(*shard, *epoch, *queue_len),
+            Event::HealthTransition {
+                shard,
+                from,
+                to,
+                epoch,
+            } => health_transition_event(*shard, from, to, *epoch),
+            Event::SloAlert {
+                shard,
+                metric,
+                burn_rate,
+                threshold,
+                window,
+                epoch,
+            } => slo_alert_event(
+                *shard,
+                metric,
+                &SloAlertInfo {
+                    burn_rate: *burn_rate,
+                    threshold: *threshold,
+                    window: *window,
+                    epoch: *epoch,
+                },
+            ),
+            Event::Failover {
+                shard,
+                from_replica,
+                to_replica,
+                reason,
+                clock,
+            } => failover_event(*shard, *from_replica, *to_replica, reason, *clock),
+            Event::HedgeFired {
+                shard,
+                epoch,
+                primary,
+                standby,
+                wins,
+                batch,
+            } => hedge_fired_event(*shard, *epoch, *primary, *standby, *wins, *batch),
+            Event::ReplicaRecovered {
+                shard,
+                replica,
+                probes,
+                clock,
+            } => replica_recovered_event(*shard, *replica, *probes, *clock),
+            Event::SnapshotWritten {
+                shards,
+                epoch,
+                generation,
+                bytes,
+                path,
+            } => snapshot_written_event(*shards, *epoch, *generation, *bytes, path),
+            Event::Recovery {
+                shards,
+                outcome,
+                generation,
+                epoch,
+                detail,
+            } => recovery_event(*shards, outcome, *generation, *epoch, detail),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The committed golden stream: every sample's encoded line, then
+    /// the lines each counter-bearing sample streams into a
+    /// `MemorySink` on a cleared registry (its `Counter`, then itself).
+    #[test]
+    fn emitted_events_match_the_golden_stream() {
+        let mut stream = String::new();
+        for event in event::samples() {
+            stream += &(event.to_json().to_string() + "\n");
+        }
+        for event in event::samples() {
+            with_global(|| {
+                let sink = Arc::new(MemorySink::new());
+                install(sink.clone());
+                let emitted = emit_sample(&event);
+                uninstall();
+                if emitted {
+                    assert_eq!(sink.events().len(), 2, "one counter + one typed event");
+                }
+                for line in sink.events() {
+                    stream += &(line.to_json().to_string() + "\n");
+                }
+            });
+        }
+        assert_eq!(stream, include_str!("../tests/golden_events.jsonl"));
     }
 
     #[test]
