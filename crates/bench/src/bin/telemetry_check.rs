@@ -7,26 +7,25 @@
 //!   `fig7_learning_curves --telemetry` run must contain the
 //!   span/metric names the instrumented training hot paths emit.
 //! - `--mode serve`: the trace of a seeded
-//!   `chaos_harness --telemetry` run must contain all five serving
-//!   event kinds (`rung_served`, `breaker_transition`,
-//!   `worker_restart`, `request_shed`, `health_transition`) with
-//!   well-formed fields, and each kind must agree 1:1 with its
-//!   paired `serve.*` counter. `slo_alert` events are optional (a
-//!   healthy run has none) but when present must agree with
-//!   `serve.slo_alerts` and carry a burn rate at or above their own
-//!   threshold. The replication kinds (`failover`, `hedge_fired`,
-//!   `replica_recovered`) are likewise optional-but-consistent:
-//!   absent from single-controller runs, but when present they must
-//!   agree 1:1 with their counters and be well-formed (a failover
+//!   `chaos_harness --telemetry` run must contain all five required
+//!   serving event kinds (`rung_served`, `breaker_transition`,
+//!   `worker_restart`, `request_shed`, `health_transition`), and each
+//!   must agree 1:1 with its paired counter, including the counter's
+//!   final total. Every other kind that `gddr_telemetry::event::KINDS`
+//!   pairs with a counter (`slo_alert`, the replication kinds
+//!   `failover`, `hedge_fired`, `replica_recovered`, the durability
+//!   kinds `snapshot_written`, `recovery`, ...) is optional but
+//!   counter-consistent: the counter's streamed deltas must equal
+//!   the deltas its events imply. Fields are checked per kind: rung,
+//!   breaker and health names are known, transitions change state,
+//!   SLO alerts fire at or above their own threshold, a failover
 //!   never targets its own source, hedge wins never exceed the batch,
-//!   recoveries carry a positive probe count). The durability kinds
-//!   (`snapshot_written`, `recovery`) are also optional-but-consistent
-//!   with their `store.*` counters, and their fields are checked
-//!   (positive shard/byte counts, warm restores carry a generation,
-//!   cold starts carry a corruption-class detail). `--relax k1,k2`
-//!   demotes the listed serve kinds to optional-but-consistent too —
-//!   the dynamics smoke leg uses it for kinds its scenarios never
-//!   trigger (no breaker trips, no worker restarts).
+//!   recoveries carry a positive probe count, snapshots have positive
+//!   shard/byte counts, warm restores carry a generation and cold
+//!   starts a corruption-class detail. `--relax k1,k2` demotes the
+//!   listed required kinds to optional-but-consistent — the dynamics
+//!   smoke leg uses it for kinds its scenarios never trigger (no
+//!   breaker trips, no worker restarts).
 //! - `--mode trace`: the stream of a `serve_load --telemetry` run
 //!   must reconstruct — every trace id referenced by a `rung_served`
 //!   event has exactly one `fleet.admitted` and one `fleet.response`
@@ -46,6 +45,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use gddr_bench::parse_args;
 use gddr_ser::{FromJson, Json, ToJson};
+use gddr_telemetry::event::KINDS;
 use gddr_telemetry::Event;
 
 /// Spans that a training run must have opened at least once.
@@ -81,29 +81,13 @@ const EXPECTED_GAUGES: &[&str] = &[
     "ppo.value_loss",
 ];
 
-/// Serving event kinds, each paired with the counter its emit helper
-/// bumps exactly once per event.
-const SERVE_KINDS: &[(&str, &str)] = &[
-    ("rung_served", "serve.responses"),
-    ("breaker_transition", "serve.breaker_transitions"),
-    ("worker_restart", "serve.worker_restarts"),
-    ("request_shed", "serve.shed"),
-    ("health_transition", "serve.health_transitions"),
-];
-
-/// Replication event kinds: optional (absent from single-controller
-/// runs) but counter-consistent when present, like `slo_alert`.
-const REPLICATION_KINDS: &[(&str, &str)] = &[
-    ("failover", "serve.failovers"),
-    ("hedge_fired", "serve.hedges_fired"),
-    ("replica_recovered", "serve.replica_recoveries"),
-];
-
-/// Durability event kinds: optional (absent from runs without a
-/// snapshot store) but counter-consistent when present.
-const STORE_KINDS: &[(&str, &str)] = &[
-    ("snapshot_written", "store.snapshots_written"),
-    ("recovery", "store.recoveries"),
+/// Serving event kinds a serve trace must contain unless `--relax`ed.
+const REQUIRED_KINDS: &[&str] = &[
+    "rung_served",
+    "breaker_transition",
+    "worker_restart",
+    "request_shed",
+    "health_transition",
 ];
 
 const RUNG_NAMES: &[&str] = &["fresh", "last_good", "ecmp", "shortest_path"];
@@ -147,9 +131,11 @@ fn validate_train(events: &[Event]) {
 }
 
 fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
-    // Per-kind event counts, per-counter (delta sum, last total).
+    // Per-kind event counts, per-counter (delta sum, last total), and
+    // per-counter delta sums implied by the typed events.
     let mut kind_counts: BTreeMap<&str, u64> = BTreeMap::new();
     let mut counter_stats: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut implied: BTreeMap<&str, u64> = BTreeMap::new();
     let mut shed_served = 0u64;
     let named = |what: &str, value: &str, allowed: &[&str]| {
         assert!(
@@ -158,6 +144,10 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
         );
     };
     for event in events {
+        *kind_counts.entry(event.kind()).or_default() += 1;
+        if let Some((counter, delta)) = event.counter() {
+            *implied.entry(counter).or_default() += delta;
+        }
         match event {
             Event::Counter { name, delta, total } => {
                 let entry = counter_stats.entry(name.clone()).or_insert((0, 0));
@@ -165,7 +155,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 entry.1 = *total;
             }
             Event::RungServed { rung, shed, .. } => {
-                *kind_counts.entry("rung_served").or_insert(0) += 1;
                 named("rung", rung, RUNG_NAMES);
                 // Shed requests bypass inference entirely; a "fresh"
                 // tag on one would mean the ladder was not consulted.
@@ -178,20 +167,14 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 }
             }
             Event::BreakerTransition { from, to, .. } => {
-                *kind_counts.entry("breaker_transition").or_insert(0) += 1;
                 named("breaker state", from, BREAKER_STATES);
                 named("breaker state", to, BREAKER_STATES);
                 assert_ne!(from, to, "breaker transition with from == to");
             }
             Event::WorkerRestart { restarts, .. } => {
-                *kind_counts.entry("worker_restart").or_insert(0) += 1;
                 assert!(*restarts > 0, "worker restart with zero restarts consumed");
             }
-            Event::RequestShed { .. } => {
-                *kind_counts.entry("request_shed").or_insert(0) += 1;
-            }
             Event::HealthTransition { from, to, .. } => {
-                *kind_counts.entry("health_transition").or_insert(0) += 1;
                 named("health state", from, HEALTH_STATES);
                 named("health state", to, HEALTH_STATES);
                 assert_ne!(from, to, "health transition with from == to");
@@ -202,7 +185,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 window,
                 ..
             } => {
-                *kind_counts.entry("slo_alert").or_insert(0) += 1;
                 assert!(
                     burn_rate >= threshold,
                     "slo_alert fired below its own threshold ({burn_rate} < {threshold})"
@@ -215,7 +197,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 reason,
                 ..
             } => {
-                *kind_counts.entry("failover").or_insert(0) += 1;
                 named("failover reason", reason, FAILOVER_REASONS);
                 assert_ne!(
                     from_replica, to_replica,
@@ -229,7 +210,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 batch,
                 ..
             } => {
-                *kind_counts.entry("hedge_fired").or_insert(0) += 1;
                 assert_ne!(primary, standby, "hedge re-issued to the primary itself");
                 assert!(*batch > 0, "hedge_fired with an empty batch");
                 assert!(
@@ -238,7 +218,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 );
             }
             Event::ReplicaRecovered { probes, .. } => {
-                *kind_counts.entry("replica_recovered").or_insert(0) += 1;
                 assert!(*probes > 0, "replica_recovered with zero probes");
             }
             Event::SnapshotWritten {
@@ -248,7 +227,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 path,
                 ..
             } => {
-                *kind_counts.entry("snapshot_written").or_insert(0) += 1;
                 assert!(*shards > 0, "snapshot_written with zero shards");
                 assert!(*generation > 0, "snapshot_written with generation 0");
                 assert!(*bytes > 0, "snapshot_written with zero bytes");
@@ -261,7 +239,6 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
                 detail,
                 ..
             } => {
-                *kind_counts.entry("recovery").or_insert(0) += 1;
                 assert!(*shards > 0, "recovery with zero shards");
                 match outcome.as_str() {
                     "warm" => {
@@ -283,58 +260,29 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
             _ => {}
         }
     }
-    for (kind, counter) in SERVE_KINDS {
+    for (kind, counter) in KINDS {
+        let Some(counter) = counter else { continue };
         let seen = kind_counts.get(kind).copied().unwrap_or(0);
-        if seen == 0 && relax.contains(*kind) {
-            // A relaxed kind may be absent (e.g. no breaker ever trips
-            // in a dynamics run), but then its counter must agree.
-            let (delta_sum, last_total) = counter_stats.get(*counter).copied().unwrap_or((0, 0));
-            assert_eq!(
-                delta_sum, 0,
-                "counter {counter:?} moved ({delta_sum}) with no {kind:?} events"
-            );
-            assert_eq!(
-                last_total, 0,
-                "counter {counter:?} ended at {last_total} with no {kind:?} events"
-            );
+        let (delta_sum, last_total) = counter_stats.get(*counter).copied().unwrap_or((0, 0));
+        // `emit` bumps the paired counter with every typed event, so the
+        // trace must agree with itself.
+        let expected = implied.get(counter).copied().unwrap_or(0);
+        assert_eq!(
+            delta_sum, expected,
+            "counter {counter:?} deltas ({delta_sum}) disagree with {kind:?} events ({seen})"
+        );
+        if !REQUIRED_KINDS.contains(kind) {
             continue;
         }
-        assert!(seen > 0, "missing serve event kind {kind:?} in trace");
-        let (delta_sum, last_total) = counter_stats
-            .get(*counter)
-            .copied()
-            .unwrap_or_else(|| panic!("missing counter {counter:?} in trace"));
-        // The emit helpers bump the paired counter exactly once per
-        // typed event, so the trace must agree with itself.
-        assert_eq!(
-            delta_sum, seen,
-            "counter {counter:?} deltas ({delta_sum}) disagree with {kind:?} events ({seen})"
+        // A relaxed kind may be absent (e.g. no breaker ever trips in a
+        // dynamics run), but then its counter must agree.
+        assert!(
+            seen > 0 || relax.contains(*kind),
+            "missing serve event kind {kind:?} in trace"
         );
         assert_eq!(
             last_total, seen,
             "counter {counter:?} final total ({last_total}) disagrees with {kind:?} events ({seen})"
-        );
-    }
-    // SLO alerts are optional (a healthy run has none), but when any
-    // appear they must agree with their counter, like every other kind.
-    let alert_events = kind_counts.get("slo_alert").copied().unwrap_or(0);
-    let alert_counter = counter_stats
-        .get("serve.slo_alerts")
-        .copied()
-        .unwrap_or((0, 0));
-    assert_eq!(
-        alert_counter.0, alert_events,
-        "counter \"serve.slo_alerts\" deltas ({}) disagree with slo_alert events ({alert_events})",
-        alert_counter.0
-    );
-    // Replication and durability kinds: optional, but
-    // counter-consistent when present.
-    for (kind, counter) in REPLICATION_KINDS.iter().chain(STORE_KINDS) {
-        let seen = kind_counts.get(kind).copied().unwrap_or(0);
-        let (delta_sum, _) = counter_stats.get(*counter).copied().unwrap_or((0, 0));
-        assert_eq!(
-            delta_sum, seen,
-            "counter {counter:?} deltas ({delta_sum}) disagree with {kind:?} events ({seen})"
         );
     }
     // Every shed victim produces one request_shed event at admission
@@ -352,7 +300,7 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
         kind_counts.get("breaker_transition").copied().unwrap_or(0),
         kind_counts.get("worker_restart").copied().unwrap_or(0),
         kind_counts.get("health_transition").copied().unwrap_or(0),
-        alert_events,
+        kind_counts.get("slo_alert").copied().unwrap_or(0),
         kind_counts.get("failover").copied().unwrap_or(0),
         kind_counts.get("hedge_fired").copied().unwrap_or(0),
         kind_counts.get("replica_recovered").copied().unwrap_or(0),
@@ -479,7 +427,7 @@ fn main() {
         .unwrap_or_default();
     for kind in &relax {
         assert!(
-            SERVE_KINDS.iter().any(|(k, _)| k == kind),
+            REQUIRED_KINDS.contains(&kind.as_str()),
             "--relax {kind:?} is not a serve event kind"
         );
     }

@@ -26,6 +26,7 @@ use gddr_rl::{Env, ResumableEnv, Step};
 use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::{softmin_routing, SoftminConfig};
 use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_telemetry::Event;
 use gddr_traffic::DemandMatrix;
 
 use crate::error::CoreError;
@@ -453,7 +454,10 @@ impl Env for DdrEnv {
         self.t = self.config.memory;
         if let Some(injector) = self.injector.as_mut() {
             let (graph, removed) = injector.degrade(&self.ctx.graph);
-            gddr_telemetry::fault_injected_event(self.ctx.graph.name(), removed as u64);
+            gddr_telemetry::emit(|| Event::FaultInjected {
+                graph: self.ctx.graph.name().to_string(),
+                edges_removed: removed as u64,
+            });
             self.faulted = Some(FaultedView::new(graph, removed));
         }
         self.observation()

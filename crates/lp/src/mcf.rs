@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use gddr_net::{Graph, NodeId};
+use gddr_telemetry::Event;
 use gddr_traffic::DemandMatrix;
 
 use crate::simplex::{solve_with, LinearProgram, LpError, Relation, SolveOptions};
@@ -452,7 +453,10 @@ impl CachedOracle {
                 ) {
                     Ok(sol) => {
                         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                        gddr_telemetry::lp_fallback_event("bland_retry", false);
+                        gddr_telemetry::emit(|| Event::LpFallback {
+                            strategy: "bland_retry".to_string(),
+                            degraded: false,
+                        });
                         self.insert(key, sol.u_max, false);
                         return Ok(OracleValue {
                             u_opt: sol.u_max,
@@ -471,7 +475,10 @@ impl CachedOracle {
         // the true optimum, flagged degraded.
         let u_bound = shortest_path_bound(&self.graph, dm)?;
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        gddr_telemetry::lp_fallback_event("shortest_path_bound", true);
+        gddr_telemetry::emit(|| Event::LpFallback {
+            strategy: "shortest_path_bound".to_string(),
+            degraded: true,
+        });
         self.insert(key, u_bound, true);
         Ok(OracleValue {
             u_opt: u_bound,

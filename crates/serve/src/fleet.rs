@@ -31,7 +31,7 @@ use gddr_core::DdrEnvConfig;
 use gddr_net::Graph;
 use gddr_ser::Json;
 use gddr_store::{FleetSnapshot, ShardSnapshot, Store, StoreError};
-use gddr_telemetry::TraceCtx;
+use gddr_telemetry::{Event, TraceCtx};
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::engine::EngineFactory;
@@ -268,13 +268,13 @@ impl ShardRouter {
             shards,
         };
         let bytes = persist.store.save(&snapshot)?;
-        gddr_telemetry::snapshot_written_event(
-            self.shards.len() as u64,
-            tick,
+        gddr_telemetry::emit(|| Event::SnapshotWritten {
+            shards: self.shards.len() as u64,
+            epoch: tick,
             generation,
             bytes,
-            &persist.store.dir().display().to_string(),
-        );
+            path: persist.store.dir().display().to_string(),
+        });
         Ok(Some(generation))
     }
 
@@ -321,13 +321,13 @@ impl ShardRouter {
             }
         }
         persist.runs.store(snapshot.tick, Ordering::SeqCst);
-        gddr_telemetry::recovery_event(
-            self.shards.len() as u64,
-            "warm",
-            snapshot.generation,
-            snapshot.tick,
-            "",
-        );
+        gddr_telemetry::emit(|| Event::Recovery {
+            shards: self.shards.len() as u64,
+            outcome: "warm".to_string(),
+            generation: snapshot.generation,
+            epoch: snapshot.tick,
+            detail: String::new(),
+        });
         RecoveryReport::Warm {
             generation: snapshot.generation,
             tick: snapshot.tick,
@@ -344,7 +344,13 @@ impl ShardRouter {
     }
 
     fn cold(&self, error: StoreError) -> RecoveryReport {
-        gddr_telemetry::recovery_event(self.shards.len() as u64, "cold", 0, 0, error.kind_name());
+        gddr_telemetry::emit(|| Event::Recovery {
+            shards: self.shards.len() as u64,
+            outcome: "cold".to_string(),
+            generation: 0,
+            epoch: 0,
+            detail: error.kind_name().to_string(),
+        });
         RecoveryReport::Cold { error }
     }
 

@@ -21,7 +21,7 @@ use gddr_core::DdrEnvConfig;
 use gddr_net::Graph;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
-use gddr_telemetry::TraceCtx;
+use gddr_telemetry::{Event, TraceCtx};
 
 use gddr_ser::Json;
 
@@ -555,7 +555,11 @@ impl ReplicaSet {
     /// the primary.
     fn answer_shed(&mut self, victim: Admitted) -> RouteResponse {
         self.stats.shed += 1;
-        gddr_telemetry::request_shed_event(self.shard, victim.req.epoch, self.queue.len() as u64);
+        gddr_telemetry::emit(|| Event::RequestShed {
+            shard: self.shard,
+            epoch: victim.req.epoch,
+            queue_len: self.queue.len() as u64,
+        });
         let req = victim.req.clone();
         let primary = self.primary;
         for (i, replica) in self.replicas.iter_mut().enumerate() {
@@ -689,14 +693,14 @@ impl ReplicaSet {
                     }
                 }
                 self.stats.hedge_wins += wins;
-                gddr_telemetry::hedge_fired_event(
-                    self.shard,
-                    tick,
-                    primary as u64,
-                    standby as u64,
+                gddr_telemetry::emit(|| Event::HedgeFired {
+                    shard: self.shard,
+                    epoch: tick,
+                    primary: primary as u64,
+                    standby: standby as u64,
                     wins,
-                    responses.len() as u64,
-                );
+                    batch: responses.len() as u64,
+                });
             }
         }
 
@@ -759,7 +763,12 @@ impl ReplicaSet {
                 replica: idx,
                 clock: self.clock,
             });
-            gddr_telemetry::replica_recovered_event(self.shard, idx as u64, probes, self.clock);
+            gddr_telemetry::emit(|| Event::ReplicaRecovered {
+                shard: self.shard,
+                replica: idx as u64,
+                probes,
+                clock: self.clock,
+            });
         } else {
             // Failed window: retool again (the pool may have died
             // mid-probe) and keep probing from scratch.
@@ -815,7 +824,13 @@ impl ReplicaSet {
             to: next,
             clock: self.clock,
         });
-        gddr_telemetry::failover_event(self.shard, from as u64, next as u64, reason, self.clock);
+        gddr_telemetry::emit(|| Event::Failover {
+            shard: self.shard,
+            from_replica: from as u64,
+            to_replica: next as u64,
+            reason: reason.to_string(),
+            clock: self.clock,
+        });
     }
 }
 

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gddr_net::Graph;
+use gddr_telemetry::Event;
 use gddr_traffic::DemandMatrix;
 
 use crate::engine::{BatchItem, EngineFactory, InferenceEngine, InferenceReply};
@@ -277,7 +278,12 @@ impl WorkerPool {
         let restarts = s.restarts;
         self.restarts_total += 1;
         self.slots[slot].body = self.spawn_body(slot, generation);
-        gddr_telemetry::worker_restart_event(self.shard, slot as u64, restarts as u64, backoff);
+        gddr_telemetry::emit(|| Event::WorkerRestart {
+            shard: self.shard,
+            worker: slot as u64,
+            restarts: restarts as u64,
+            backoff_epochs: backoff,
+        });
     }
 
     /// Replace every slot's engine for a new topology. Does not

@@ -5,15 +5,136 @@
 //! aggregated state lives in the registry ([`crate::metrics`]). The
 //! JSON encoding is a tagged object (`"type"` discriminant) so a JSONL
 //! stream mixes event kinds freely and parses back losslessly.
+//!
+//! The whole schema is one `events!` table: a row per kind gives the
+//! variant, its JSON `type` tag, its typed fields in JSON order and the
+//! counter [`crate::emit`] bumps alongside it. The enum, [`Event::kind`],
+//! [`Event::counter`], [`KINDS`] and the JSON codec are generated from
+//! that table, so a new kind is one row.
 
 use gddr_ser::{FromJson, Json, JsonError, ToJson};
 
-/// One telemetry observation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// How one event field encodes as a JSON value.
+trait Field: Sized {
+    fn encode(&self) -> Json;
+    fn decode(json: &Json) -> Result<Self, JsonError>;
+}
+
+macro_rules! plain_fields {
+    ($($ty:ty),*) => {$(
+        impl Field for $ty {
+            fn encode(&self) -> Json {
+                self.to_json()
+            }
+            fn decode(json: &Json) -> Result<Self, JsonError> {
+                <$ty>::from_json(json)
+            }
+        }
+    )*};
+}
+
+plain_fields!(u64, f64, bool, String, Option<String>);
+
+/// Trace attributes encode as a JSON object, order preserved.
+impl Field for Vec<(String, String)> {
+    fn encode(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+    fn decode(json: &Json) -> Result<Self, JsonError> {
+        match json {
+            Json::Obj(fields) => fields
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), String::from_json(v)?)))
+                .collect(),
+            _ => Err(JsonError("trace attrs must be a JSON object".to_string())),
+        }
+    }
+}
+
+/// Generates [`Event`] and its schema from one row per kind:
+///
+/// ```text
+/// /// docs
+/// Variant("json_tag" [, counts "counter.name" [by delta_field]]) {
+///     /// docs
+///     field: Type,
+///     ...
+/// },
+/// ```
+///
+/// A row with `counts` pairs the kind with a registry counter that
+/// [`crate::emit`] bumps by 1 (or by `delta_field`) per event.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident($kind:literal $(, counts $counter:literal $(by $delta:ident)?)?) {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+        },
+    )*) => {
+        /// One telemetry observation.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        /// Every event kind's JSON tag with its paired counter, if any.
+        pub const KINDS: &[(&str, Option<&str>)] = &[
+            $( ($kind, events!(@name $($counter)?)), )*
+        ];
+
+        impl Event {
+            /// The JSON `"type"` tag for this event kind.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// The registry counter this event bumps when emitted, with
+            /// its delta; `None` for kinds without a paired counter.
+            #[allow(unused_variables)]
+            pub fn counter(&self) -> Option<(&'static str, u64)> {
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        events!(@counter $($counter $(, *$delta)?)?)
+                    } )*
+                }
+            }
+        }
+
+        impl ToJson for Event {
+            fn to_json(&self) -> Json {
+                match self {
+                    $( Event::$variant { $($field),* } => Json::obj([
+                        ("type", $kind.to_json()),
+                        $( (stringify!($field), $field.encode()), )*
+                    ]), )*
+                }
+            }
+        }
+
+        impl FromJson for Event {
+            fn from_json(json: &Json) -> Result<Self, JsonError> {
+                match String::from_json(json.field("type")?)?.as_str() {
+                    $( $kind => Ok(Event::$variant {
+                        $( $field: Field::decode(json.field(stringify!($field))?)?, )*
+                    }), )*
+                    other => Err(JsonError(format!("unknown event type {other:?}"))),
+                }
+            }
+        }
+    };
+    (@name) => { None };
+    (@name $counter:literal) => { Some($counter) };
+    (@counter) => { None };
+    (@counter $counter:literal) => { Some(($counter, 1)) };
+    (@counter $counter:literal, $delta:expr) => { Some(($counter, $delta)) };
+}
+
+events! {
     /// A completed span: a named scope with wall-clock timing and its
     /// position in the per-thread span hierarchy.
-    Span {
+    Span("span") {
         /// Span name (dot-separated, e.g. `env.step`).
         name: String,
         /// Name of the enclosing span on the same thread, if any.
@@ -26,7 +147,7 @@ pub enum Event {
         dur_ns: u64,
     },
     /// A counter increment.
-    Counter {
+    Counter("counter") {
         /// Counter name.
         name: String,
         /// Amount added by this event.
@@ -35,28 +156,28 @@ pub enum Event {
         total: u64,
     },
     /// A gauge update (last-value-wins).
-    Gauge {
+    Gauge("gauge") {
         /// Gauge name.
         name: String,
         /// The new value.
         value: f64,
     },
     /// A single histogram observation.
-    Histogram {
+    Histogram("histogram") {
         /// Histogram name.
         name: String,
         /// The observed value.
         value: f64,
     },
     /// A free-form progress message (the figure binaries' reporter).
-    Message {
+    Message("message") {
         /// Reporter name (e.g. the binary's name).
         name: String,
         /// Message text.
         text: String,
     },
     /// A training checkpoint was written to disk.
-    Checkpoint {
+    Checkpoint("checkpoint", counts "ppo.checkpoints") {
         /// Environment step count at the snapshot.
         step: u64,
         /// Path of the checkpoint file.
@@ -64,7 +185,7 @@ pub enum Event {
     },
     /// Training rolled back to the last good checkpoint (NaN
     /// quarantine tripped).
-    Rollback {
+    Rollback("rollback", counts "ppo.rollbacks") {
         /// Environment step count when the rollback fired.
         step: u64,
         /// Human-readable trigger (e.g. `non-finite updates`).
@@ -74,7 +195,7 @@ pub enum Event {
     },
     /// The LP oracle degraded to a fallback strategy after a solver
     /// failure.
-    LpFallback {
+    LpFallback("lp_fallback", counts "lp.oracle.fallbacks") {
         /// Strategy used (`bland_retry` or `shortest_path_bound`).
         strategy: String,
         /// Whether the returned value is a degraded bound rather than
@@ -82,15 +203,17 @@ pub enum Event {
         degraded: bool,
     },
     /// Link failures were injected into the training environment.
-    FaultInjected {
+    FaultInjected("fault_injected", counts "env.fault_injected" by edges_removed) {
         /// Name of the (faulted) graph.
         graph: String,
         /// Directed edges removed this episode.
         edges_removed: u64,
     },
     /// The serving controller answered an epoch request, tagged with
-    /// the graceful-degradation rung that produced the routing.
-    RungServed {
+    /// the graceful-degradation rung that produced the routing. Its
+    /// counter counts responses only; shed accounting belongs to
+    /// `request_shed`.
+    RungServed("rung_served", counts "serve.responses") {
         /// Owning shard id (0 for a single-controller deployment).
         shard: u64,
         /// Logical serving epoch (one per processed request).
@@ -105,7 +228,7 @@ pub enum Event {
         trace: u64,
     },
     /// The oracle-scoring circuit breaker changed state.
-    BreakerTransition {
+    BreakerTransition("breaker_transition", counts "serve.breaker_transitions") {
         /// Owning shard id (0 for a single-controller deployment).
         shard: u64,
         /// State before the transition (`closed`, `open`, `half_open`).
@@ -116,7 +239,7 @@ pub enum Event {
         epoch: u64,
     },
     /// A supervised serving worker was restarted after a panic or hang.
-    WorkerRestart {
+    WorkerRestart("worker_restart", counts "serve.worker_restarts") {
         /// Owning shard id (0 for a single-controller deployment).
         shard: u64,
         /// Worker slot index.
@@ -128,7 +251,7 @@ pub enum Event {
     },
     /// An epoch request was shed from the bounded admission queue (it
     /// is still answered, via the degradation ladder).
-    RequestShed {
+    RequestShed("request_shed", counts "serve.shed") {
         /// Owning shard id (0 for a single-controller deployment).
         shard: u64,
         /// Logical serving epoch of the shed request.
@@ -137,7 +260,7 @@ pub enum Event {
         queue_len: u64,
     },
     /// The serving controller's health state changed.
-    HealthTransition {
+    HealthTransition("health_transition", counts "serve.health_transitions") {
         /// Owning shard id (0 for a single-controller deployment).
         shard: u64,
         /// State before the transition (`starting`, `healthy`,
@@ -150,7 +273,7 @@ pub enum Event {
     },
     /// A request-scoped timed phase (e.g. one batched inference),
     /// correlated across the fleet by trace id.
-    TraceSpan {
+    TraceSpan("trace_span") {
         /// Fleet-unique request trace id (never 0 in emitted events).
         trace_id: u64,
         /// Shard the phase ran on.
@@ -167,7 +290,7 @@ pub enum Event {
     },
     /// A request-scoped point-in-time marker (admission, response),
     /// correlated across the fleet by trace id.
-    TraceAnnotation {
+    TraceAnnotation("trace_annotation") {
         /// Fleet-unique request trace id (never 0 in emitted events).
         trace_id: u64,
         /// Shard the marker was recorded on.
@@ -182,7 +305,7 @@ pub enum Event {
     },
     /// The streaming SLO engine detected an error-budget burn-rate
     /// breach on a shard.
-    SloAlert {
+    SloAlert("slo_alert", counts "serve.slo_alerts") {
         /// Shard whose error budget is burning.
         shard: u64,
         /// SLO metric that breached (e.g. `serve.fresh_fraction`).
@@ -197,7 +320,7 @@ pub enum Event {
         epoch: u64,
     },
     /// A replica set demoted its primary and promoted a standby.
-    Failover {
+    Failover("failover", counts "serve.failovers") {
         /// Shard whose replica set failed over.
         shard: u64,
         /// Replica index demoted from primary.
@@ -213,7 +336,7 @@ pub enum Event {
     },
     /// A coalesced batch was re-issued to a standby replica after the
     /// primary hit the deterministic straggler threshold.
-    HedgeFired {
+    HedgeFired("hedge_fired", counts "serve.hedges_fired") {
         /// Shard whose replica set hedged.
         shard: u64,
         /// Client epoch (tick) of the hedged batch.
@@ -229,7 +352,7 @@ pub enum Event {
     },
     /// A recovering replica completed its shadow-serving probe window
     /// and is eligible for promotion again.
-    ReplicaRecovered {
+    ReplicaRecovered("replica_recovered", counts "serve.replica_recoveries") {
         /// Shard whose replica set recovered a member.
         shard: u64,
         /// The recovered replica's index.
@@ -240,7 +363,7 @@ pub enum Event {
         clock: u64,
     },
     /// A durable fleet snapshot generation was committed to the store.
-    SnapshotWritten {
+    SnapshotWritten("snapshot_written", counts "store.snapshots_written") {
         /// Shard count captured in the snapshot.
         shards: u64,
         /// Logical tick the snapshot was taken at.
@@ -255,7 +378,7 @@ pub enum Event {
     /// A fleet restart attempted to restore durable state: either a
     /// warm restore of a verified generation, or a clean cold start
     /// after a typed `StoreError`.
-    Recovery {
+    Recovery("recovery", counts "store.recoveries") {
         /// Shards restored (warm) or reset (cold).
         shards: u64,
         /// `warm` or `cold`.
@@ -270,30 +393,9 @@ pub enum Event {
     },
 }
 
-/// Encodes trace attributes as a JSON object (order preserved).
-fn attrs_to_json(attrs: &[(String, String)]) -> Json {
-    Json::Obj(
-        attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json()))
-            .collect(),
-    )
-}
-
-/// Decodes trace attributes from a JSON object.
-fn attrs_from_json(json: &Json) -> Result<Vec<(String, String)>, JsonError> {
-    match json {
-        Json::Obj(fields) => fields
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), String::from_json(v)?)))
-            .collect(),
-        _ => Err(JsonError("trace attrs must be a JSON object".to_string())),
-    }
-}
-
 impl Event {
-    /// The event's name field; fault-tolerance lifecycle events have no
-    /// name of their own and report their kind tag.
+    /// The event's name field; kinds without a name of their own
+    /// report their kind tag.
     pub fn name(&self) -> &str {
         match self {
             Event::Span { name, .. }
@@ -303,434 +405,26 @@ impl Event {
             | Event::Message { name, .. }
             | Event::TraceSpan { name, .. }
             | Event::TraceAnnotation { name, .. } => name,
-            Event::Checkpoint { .. }
-            | Event::Rollback { .. }
-            | Event::LpFallback { .. }
-            | Event::FaultInjected { .. }
-            | Event::RungServed { .. }
-            | Event::BreakerTransition { .. }
-            | Event::WorkerRestart { .. }
-            | Event::RequestShed { .. }
-            | Event::HealthTransition { .. }
-            | Event::SloAlert { .. }
-            | Event::Failover { .. }
-            | Event::HedgeFired { .. }
-            | Event::ReplicaRecovered { .. }
-            | Event::SnapshotWritten { .. }
-            | Event::Recovery { .. } => self.kind(),
+            _ => self.kind(),
         }
     }
 
-    /// The JSON `"type"` tag for this event kind.
-    pub fn kind(&self) -> &'static str {
+    /// The serving shard the event belongs to, for kinds that carry a
+    /// `shard` field.
+    pub fn shard(&self) -> Option<u64> {
         match self {
-            Event::Span { .. } => "span",
-            Event::Counter { .. } => "counter",
-            Event::Gauge { .. } => "gauge",
-            Event::Histogram { .. } => "histogram",
-            Event::Message { .. } => "message",
-            Event::Checkpoint { .. } => "checkpoint",
-            Event::Rollback { .. } => "rollback",
-            Event::LpFallback { .. } => "lp_fallback",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::RungServed { .. } => "rung_served",
-            Event::BreakerTransition { .. } => "breaker_transition",
-            Event::WorkerRestart { .. } => "worker_restart",
-            Event::RequestShed { .. } => "request_shed",
-            Event::HealthTransition { .. } => "health_transition",
-            Event::TraceSpan { .. } => "trace_span",
-            Event::TraceAnnotation { .. } => "trace_annotation",
-            Event::SloAlert { .. } => "slo_alert",
-            Event::Failover { .. } => "failover",
-            Event::HedgeFired { .. } => "hedge_fired",
-            Event::ReplicaRecovered { .. } => "replica_recovered",
-            Event::SnapshotWritten { .. } => "snapshot_written",
-            Event::Recovery { .. } => "recovery",
-        }
-    }
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        match self {
-            Event::Span {
-                name,
-                parent,
-                depth,
-                start_us,
-                dur_ns,
-            } => Json::obj([
-                ("type", "span".to_json()),
-                ("name", name.to_json()),
-                ("parent", parent.to_json()),
-                ("depth", depth.to_json()),
-                ("start_us", start_us.to_json()),
-                ("dur_ns", dur_ns.to_json()),
-            ]),
-            Event::Counter { name, delta, total } => Json::obj([
-                ("type", "counter".to_json()),
-                ("name", name.to_json()),
-                ("delta", delta.to_json()),
-                ("total", total.to_json()),
-            ]),
-            Event::Gauge { name, value } => Json::obj([
-                ("type", "gauge".to_json()),
-                ("name", name.to_json()),
-                ("value", value.to_json()),
-            ]),
-            Event::Histogram { name, value } => Json::obj([
-                ("type", "histogram".to_json()),
-                ("name", name.to_json()),
-                ("value", value.to_json()),
-            ]),
-            Event::Message { name, text } => Json::obj([
-                ("type", "message".to_json()),
-                ("name", name.to_json()),
-                ("text", text.to_json()),
-            ]),
-            Event::Checkpoint { step, path } => Json::obj([
-                ("type", "checkpoint".to_json()),
-                ("step", step.to_json()),
-                ("path", path.to_json()),
-            ]),
-            Event::Rollback {
-                step,
-                reason,
-                lr_scale,
-            } => Json::obj([
-                ("type", "rollback".to_json()),
-                ("step", step.to_json()),
-                ("reason", reason.to_json()),
-                ("lr_scale", lr_scale.to_json()),
-            ]),
-            Event::LpFallback { strategy, degraded } => Json::obj([
-                ("type", "lp_fallback".to_json()),
-                ("strategy", strategy.to_json()),
-                ("degraded", degraded.to_json()),
-            ]),
-            Event::FaultInjected {
-                graph,
-                edges_removed,
-            } => Json::obj([
-                ("type", "fault_injected".to_json()),
-                ("graph", graph.to_json()),
-                ("edges_removed", edges_removed.to_json()),
-            ]),
-            Event::RungServed {
-                shard,
-                epoch,
-                rung,
-                shed,
-                trace,
-            } => Json::obj([
-                ("type", "rung_served".to_json()),
-                ("shard", shard.to_json()),
-                ("epoch", epoch.to_json()),
-                ("rung", rung.to_json()),
-                ("shed", shed.to_json()),
-                ("trace", trace.to_json()),
-            ]),
-            Event::BreakerTransition {
-                shard,
-                from,
-                to,
-                epoch,
-            } => Json::obj([
-                ("type", "breaker_transition".to_json()),
-                ("shard", shard.to_json()),
-                ("from", from.to_json()),
-                ("to", to.to_json()),
-                ("epoch", epoch.to_json()),
-            ]),
-            Event::WorkerRestart {
-                shard,
-                worker,
-                restarts,
-                backoff_epochs,
-            } => Json::obj([
-                ("type", "worker_restart".to_json()),
-                ("shard", shard.to_json()),
-                ("worker", worker.to_json()),
-                ("restarts", restarts.to_json()),
-                ("backoff_epochs", backoff_epochs.to_json()),
-            ]),
-            Event::RequestShed {
-                shard,
-                epoch,
-                queue_len,
-            } => Json::obj([
-                ("type", "request_shed".to_json()),
-                ("shard", shard.to_json()),
-                ("epoch", epoch.to_json()),
-                ("queue_len", queue_len.to_json()),
-            ]),
-            Event::HealthTransition {
-                shard,
-                from,
-                to,
-                epoch,
-            } => Json::obj([
-                ("type", "health_transition".to_json()),
-                ("shard", shard.to_json()),
-                ("from", from.to_json()),
-                ("to", to.to_json()),
-                ("epoch", epoch.to_json()),
-            ]),
-            Event::TraceSpan {
-                trace_id,
-                shard,
-                name,
-                start_us,
-                dur_ns,
-                attrs,
-            } => Json::obj([
-                ("type", "trace_span".to_json()),
-                ("trace_id", trace_id.to_json()),
-                ("shard", shard.to_json()),
-                ("name", name.to_json()),
-                ("start_us", start_us.to_json()),
-                ("dur_ns", dur_ns.to_json()),
-                ("attrs", attrs_to_json(attrs)),
-            ]),
-            Event::TraceAnnotation {
-                trace_id,
-                shard,
-                name,
-                at_us,
-                attrs,
-            } => Json::obj([
-                ("type", "trace_annotation".to_json()),
-                ("trace_id", trace_id.to_json()),
-                ("shard", shard.to_json()),
-                ("name", name.to_json()),
-                ("at_us", at_us.to_json()),
-                ("attrs", attrs_to_json(attrs)),
-            ]),
-            Event::SloAlert {
-                shard,
-                metric,
-                burn_rate,
-                threshold,
-                window,
-                epoch,
-            } => Json::obj([
-                ("type", "slo_alert".to_json()),
-                ("shard", shard.to_json()),
-                ("metric", metric.to_json()),
-                ("burn_rate", burn_rate.to_json()),
-                ("threshold", threshold.to_json()),
-                ("window", window.to_json()),
-                ("epoch", epoch.to_json()),
-            ]),
-            Event::Failover {
-                shard,
-                from_replica,
-                to_replica,
-                reason,
-                clock,
-            } => Json::obj([
-                ("type", "failover".to_json()),
-                ("shard", shard.to_json()),
-                ("from_replica", from_replica.to_json()),
-                ("to_replica", to_replica.to_json()),
-                ("reason", reason.to_json()),
-                ("clock", clock.to_json()),
-            ]),
-            Event::HedgeFired {
-                shard,
-                epoch,
-                primary,
-                standby,
-                wins,
-                batch,
-            } => Json::obj([
-                ("type", "hedge_fired".to_json()),
-                ("shard", shard.to_json()),
-                ("epoch", epoch.to_json()),
-                ("primary", primary.to_json()),
-                ("standby", standby.to_json()),
-                ("wins", wins.to_json()),
-                ("batch", batch.to_json()),
-            ]),
-            Event::ReplicaRecovered {
-                shard,
-                replica,
-                probes,
-                clock,
-            } => Json::obj([
-                ("type", "replica_recovered".to_json()),
-                ("shard", shard.to_json()),
-                ("replica", replica.to_json()),
-                ("probes", probes.to_json()),
-                ("clock", clock.to_json()),
-            ]),
-            Event::SnapshotWritten {
-                shards,
-                epoch,
-                generation,
-                bytes,
-                path,
-            } => Json::obj([
-                ("type", "snapshot_written".to_json()),
-                ("shards", shards.to_json()),
-                ("epoch", epoch.to_json()),
-                ("generation", generation.to_json()),
-                ("bytes", bytes.to_json()),
-                ("path", path.to_json()),
-            ]),
-            Event::Recovery {
-                shards,
-                outcome,
-                generation,
-                epoch,
-                detail,
-            } => Json::obj([
-                ("type", "recovery".to_json()),
-                ("shards", shards.to_json()),
-                ("outcome", outcome.to_json()),
-                ("generation", generation.to_json()),
-                ("epoch", epoch.to_json()),
-                ("detail", detail.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let kind = String::from_json(json.field("type")?)?;
-        let name = |j: &Json| -> Result<String, JsonError> { String::from_json(j.field("name")?) };
-        match kind.as_str() {
-            "span" => Ok(Event::Span {
-                name: name(json)?,
-                parent: FromJson::from_json(json.field("parent")?)?,
-                depth: FromJson::from_json(json.field("depth")?)?,
-                start_us: FromJson::from_json(json.field("start_us")?)?,
-                dur_ns: FromJson::from_json(json.field("dur_ns")?)?,
-            }),
-            "counter" => Ok(Event::Counter {
-                name: name(json)?,
-                delta: FromJson::from_json(json.field("delta")?)?,
-                total: FromJson::from_json(json.field("total")?)?,
-            }),
-            "gauge" => Ok(Event::Gauge {
-                name: name(json)?,
-                value: FromJson::from_json(json.field("value")?)?,
-            }),
-            "histogram" => Ok(Event::Histogram {
-                name: name(json)?,
-                value: FromJson::from_json(json.field("value")?)?,
-            }),
-            "message" => Ok(Event::Message {
-                name: name(json)?,
-                text: FromJson::from_json(json.field("text")?)?,
-            }),
-            "checkpoint" => Ok(Event::Checkpoint {
-                step: FromJson::from_json(json.field("step")?)?,
-                path: FromJson::from_json(json.field("path")?)?,
-            }),
-            "rollback" => Ok(Event::Rollback {
-                step: FromJson::from_json(json.field("step")?)?,
-                reason: FromJson::from_json(json.field("reason")?)?,
-                lr_scale: FromJson::from_json(json.field("lr_scale")?)?,
-            }),
-            "lp_fallback" => Ok(Event::LpFallback {
-                strategy: FromJson::from_json(json.field("strategy")?)?,
-                degraded: FromJson::from_json(json.field("degraded")?)?,
-            }),
-            "fault_injected" => Ok(Event::FaultInjected {
-                graph: FromJson::from_json(json.field("graph")?)?,
-                edges_removed: FromJson::from_json(json.field("edges_removed")?)?,
-            }),
-            "rung_served" => Ok(Event::RungServed {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-                rung: FromJson::from_json(json.field("rung")?)?,
-                shed: FromJson::from_json(json.field("shed")?)?,
-                trace: FromJson::from_json(json.field("trace")?)?,
-            }),
-            "breaker_transition" => Ok(Event::BreakerTransition {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                from: FromJson::from_json(json.field("from")?)?,
-                to: FromJson::from_json(json.field("to")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-            }),
-            "worker_restart" => Ok(Event::WorkerRestart {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                worker: FromJson::from_json(json.field("worker")?)?,
-                restarts: FromJson::from_json(json.field("restarts")?)?,
-                backoff_epochs: FromJson::from_json(json.field("backoff_epochs")?)?,
-            }),
-            "request_shed" => Ok(Event::RequestShed {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-                queue_len: FromJson::from_json(json.field("queue_len")?)?,
-            }),
-            "health_transition" => Ok(Event::HealthTransition {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                from: FromJson::from_json(json.field("from")?)?,
-                to: FromJson::from_json(json.field("to")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-            }),
-            "trace_span" => Ok(Event::TraceSpan {
-                trace_id: FromJson::from_json(json.field("trace_id")?)?,
-                shard: FromJson::from_json(json.field("shard")?)?,
-                name: name(json)?,
-                start_us: FromJson::from_json(json.field("start_us")?)?,
-                dur_ns: FromJson::from_json(json.field("dur_ns")?)?,
-                attrs: attrs_from_json(json.field("attrs")?)?,
-            }),
-            "trace_annotation" => Ok(Event::TraceAnnotation {
-                trace_id: FromJson::from_json(json.field("trace_id")?)?,
-                shard: FromJson::from_json(json.field("shard")?)?,
-                name: name(json)?,
-                at_us: FromJson::from_json(json.field("at_us")?)?,
-                attrs: attrs_from_json(json.field("attrs")?)?,
-            }),
-            "slo_alert" => Ok(Event::SloAlert {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                metric: FromJson::from_json(json.field("metric")?)?,
-                burn_rate: FromJson::from_json(json.field("burn_rate")?)?,
-                threshold: FromJson::from_json(json.field("threshold")?)?,
-                window: FromJson::from_json(json.field("window")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-            }),
-            "failover" => Ok(Event::Failover {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                from_replica: FromJson::from_json(json.field("from_replica")?)?,
-                to_replica: FromJson::from_json(json.field("to_replica")?)?,
-                reason: FromJson::from_json(json.field("reason")?)?,
-                clock: FromJson::from_json(json.field("clock")?)?,
-            }),
-            "hedge_fired" => Ok(Event::HedgeFired {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-                primary: FromJson::from_json(json.field("primary")?)?,
-                standby: FromJson::from_json(json.field("standby")?)?,
-                wins: FromJson::from_json(json.field("wins")?)?,
-                batch: FromJson::from_json(json.field("batch")?)?,
-            }),
-            "replica_recovered" => Ok(Event::ReplicaRecovered {
-                shard: FromJson::from_json(json.field("shard")?)?,
-                replica: FromJson::from_json(json.field("replica")?)?,
-                probes: FromJson::from_json(json.field("probes")?)?,
-                clock: FromJson::from_json(json.field("clock")?)?,
-            }),
-            "snapshot_written" => Ok(Event::SnapshotWritten {
-                shards: FromJson::from_json(json.field("shards")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-                generation: FromJson::from_json(json.field("generation")?)?,
-                bytes: FromJson::from_json(json.field("bytes")?)?,
-                path: FromJson::from_json(json.field("path")?)?,
-            }),
-            "recovery" => Ok(Event::Recovery {
-                shards: FromJson::from_json(json.field("shards")?)?,
-                outcome: FromJson::from_json(json.field("outcome")?)?,
-                generation: FromJson::from_json(json.field("generation")?)?,
-                epoch: FromJson::from_json(json.field("epoch")?)?,
-                detail: FromJson::from_json(json.field("detail")?)?,
-            }),
-            other => Err(JsonError(format!("unknown event type {other:?}"))),
+            Event::RungServed { shard, .. }
+            | Event::BreakerTransition { shard, .. }
+            | Event::WorkerRestart { shard, .. }
+            | Event::RequestShed { shard, .. }
+            | Event::HealthTransition { shard, .. }
+            | Event::TraceSpan { shard, .. }
+            | Event::TraceAnnotation { shard, .. }
+            | Event::SloAlert { shard, .. }
+            | Event::Failover { shard, .. }
+            | Event::HedgeFired { shard, .. }
+            | Event::ReplicaRecovered { shard, .. } => Some(*shard),
+            _ => None,
         }
     }
 }
@@ -934,6 +628,17 @@ mod tests {
             .collect();
         let back = parse_jsonl(&text).unwrap();
         assert_eq!(back, events);
+    }
+
+    #[test]
+    fn shard_is_exactly_the_json_shard_field() {
+        for event in samples() {
+            assert_eq!(
+                event.shard().is_some(),
+                event.to_json().field("shard").is_ok(),
+                "{event:?}"
+            );
+        }
     }
 
     #[test]

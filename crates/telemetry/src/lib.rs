@@ -14,12 +14,13 @@
 //! global flag:
 //!
 //! - **Disabled** (default, no sink installed): every call —
-//!   [`span`], [`counter_add`], [`gauge_set`], [`histogram_record`] —
-//!   short-circuits on a single relaxed atomic load. No clock reads,
-//!   no allocation, no locks. Hot paths (`DdrEnv::step`, the simplex
-//!   pivot loop) therefore pay effectively nothing when telemetry is
-//!   off; per-solve statistics that must always be available (oracle
-//!   cache hits, pivot counts) live in their owning structs instead.
+//!   [`span`], [`counter_add`], [`gauge_set`], [`histogram_record`],
+//!   [`emit`] — short-circuits on a single relaxed atomic load. No
+//!   clock reads, no allocation, no locks. Hot paths (`DdrEnv::step`,
+//!   the simplex pivot loop) therefore pay effectively nothing when
+//!   telemetry is off; per-solve statistics that must always be
+//!   available (oracle cache hits, pivot counts) live in their owning
+//!   structs instead.
 //! - **Enabled** ([`install`]): updates aggregate into the global
 //!   [`Registry`] (read-locked name lookup + lock-free atomics) and
 //!   stream to the installed [`Sink`]. Instrumentation sits at
@@ -215,326 +216,35 @@ pub fn histogram_record(name: &str, value: f64) {
     });
 }
 
-/// Records that a training checkpoint was written: bumps the
-/// `ppo.checkpoints` counter and streams an [`Event::Checkpoint`].
-/// No-op when telemetry is disabled.
-pub fn checkpoint_event(step: u64, path: &str) {
-    if !is_enabled() {
-        return;
+/// Emits the typed event built by `make`: bumps its kind's paired
+/// counter (see [`Event::counter`]) and streams that [`Event::Counter`]
+/// before the event itself. When telemetry is disabled this returns
+/// after one relaxed load, so `make` — and any allocation inside it —
+/// never runs.
+///
+/// ```
+/// use gddr_telemetry::{emit, Event};
+/// emit(|| Event::LpFallback {
+///     strategy: "bland_retry".to_string(),
+///     degraded: false,
+/// });
+/// ```
+#[inline]
+pub fn emit(make: impl FnOnce() -> Event) {
+    if is_enabled() {
+        emit_enabled(make);
     }
-    let total = registry().counter_add("ppo.checkpoints", 1);
-    dispatch(&Event::Counter {
-        name: "ppo.checkpoints".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::Checkpoint {
-        step,
-        path: path.to_string(),
-    });
 }
 
-/// Records a quarantine rollback: bumps `ppo.rollbacks` and streams an
-/// [`Event::Rollback`]. No-op when telemetry is disabled.
-pub fn rollback_event(step: u64, reason: &str, lr_scale: f64) {
-    if !is_enabled() {
-        return;
+/// The enabled half of [`emit`], kept out of line so building, counting
+/// and dropping the event does not grow the caller's hot code.
+#[inline(never)]
+fn emit_enabled(make: impl FnOnce() -> Event) {
+    let event = make();
+    if let Some((name, delta)) = event.counter() {
+        counter_add(name, delta);
     }
-    let total = registry().counter_add("ppo.rollbacks", 1);
-    dispatch(&Event::Counter {
-        name: "ppo.rollbacks".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::Rollback {
-        step,
-        reason: reason.to_string(),
-        lr_scale,
-    });
-}
-
-/// Records an LP oracle fallback: bumps `lp.oracle.fallbacks` and
-/// streams an [`Event::LpFallback`]. No-op when telemetry is disabled.
-pub fn lp_fallback_event(strategy: &str, degraded: bool) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("lp.oracle.fallbacks", 1);
-    dispatch(&Event::Counter {
-        name: "lp.oracle.fallbacks".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::LpFallback {
-        strategy: strategy.to_string(),
-        degraded,
-    });
-}
-
-/// Records injected link failures: bumps `env.fault_injected` by the
-/// number of removed edges and streams an [`Event::FaultInjected`].
-/// No-op when telemetry is disabled.
-pub fn fault_injected_event(graph: &str, edges_removed: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("env.fault_injected", edges_removed);
-    dispatch(&Event::Counter {
-        name: "env.fault_injected".to_string(),
-        delta: edges_removed,
-        total,
-    });
-    dispatch(&Event::FaultInjected {
-        graph: graph.to_string(),
-        edges_removed,
-    });
-}
-
-/// Records a served routing response: bumps `serve.responses` — and
-/// only that counter; shed accounting is [`request_shed_event`]'s job,
-/// which owns `serve.shed` — and streams an [`Event::RungServed`]
-/// tagged with the request's trace id (`0` = untraced). No-op when
-/// telemetry is disabled.
-pub fn rung_served_event(shard: u64, epoch: u64, rung: &str, shed: bool, trace: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.responses", 1);
-    dispatch(&Event::Counter {
-        name: "serve.responses".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::RungServed {
-        shard,
-        epoch,
-        rung: rung.to_string(),
-        shed,
-        trace,
-    });
-}
-
-/// Records a circuit-breaker state change: bumps
-/// `serve.breaker_transitions` and streams an
-/// [`Event::BreakerTransition`]. No-op when telemetry is disabled.
-pub fn breaker_transition_event(shard: u64, from: &str, to: &str, epoch: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.breaker_transitions", 1);
-    dispatch(&Event::Counter {
-        name: "serve.breaker_transitions".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::BreakerTransition {
-        shard,
-        from: from.to_string(),
-        to: to.to_string(),
-        epoch,
-    });
-}
-
-/// Records a supervised worker restart: bumps `serve.worker_restarts`
-/// and streams an [`Event::WorkerRestart`]. No-op when telemetry is
-/// disabled.
-pub fn worker_restart_event(shard: u64, worker: u64, restarts: u64, backoff_epochs: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.worker_restarts", 1);
-    dispatch(&Event::Counter {
-        name: "serve.worker_restarts".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::WorkerRestart {
-        shard,
-        worker,
-        restarts,
-        backoff_epochs,
-    });
-}
-
-/// Records an admission-queue shed: bumps `serve.shed` and streams an
-/// [`Event::RequestShed`]. No-op when telemetry is disabled.
-pub fn request_shed_event(shard: u64, epoch: u64, queue_len: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.shed", 1);
-    dispatch(&Event::Counter {
-        name: "serve.shed".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::RequestShed {
-        shard,
-        epoch,
-        queue_len,
-    });
-}
-
-/// Records a controller health-state change: bumps
-/// `serve.health_transitions` and streams an
-/// [`Event::HealthTransition`]. No-op when telemetry is disabled.
-pub fn health_transition_event(shard: u64, from: &str, to: &str, epoch: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.health_transitions", 1);
-    dispatch(&Event::Counter {
-        name: "serve.health_transitions".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::HealthTransition {
-        shard,
-        from: from.to_string(),
-        to: to.to_string(),
-        epoch,
-    });
-}
-
-/// Records an SLO error-budget burn-rate breach: bumps
-/// `serve.slo_alerts` and streams an [`Event::SloAlert`]. No-op when
-/// telemetry is disabled.
-pub fn slo_alert_event(shard: u64, metric: &str, alert: &SloAlertInfo) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.slo_alerts", 1);
-    dispatch(&Event::Counter {
-        name: "serve.slo_alerts".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::SloAlert {
-        shard,
-        metric: metric.to_string(),
-        burn_rate: alert.burn_rate,
-        threshold: alert.threshold,
-        window: alert.window,
-        epoch: alert.epoch,
-    });
-}
-
-/// Records a replica-set failover (primary demoted, standby promoted):
-/// bumps `serve.failovers` and streams an [`Event::Failover`]. No-op
-/// when telemetry is disabled.
-pub fn failover_event(shard: u64, from_replica: u64, to_replica: u64, reason: &str, clock: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.failovers", 1);
-    dispatch(&Event::Counter {
-        name: "serve.failovers".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::Failover {
-        shard,
-        from_replica,
-        to_replica,
-        reason: reason.to_string(),
-        clock,
-    });
-}
-
-/// Records a hedged batch dispatch to a standby replica: bumps
-/// `serve.hedges_fired` and streams an [`Event::HedgeFired`]. No-op
-/// when telemetry is disabled.
-pub fn hedge_fired_event(
-    shard: u64,
-    epoch: u64,
-    primary: u64,
-    standby: u64,
-    wins: u64,
-    batch: u64,
-) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.hedges_fired", 1);
-    dispatch(&Event::Counter {
-        name: "serve.hedges_fired".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::HedgeFired {
-        shard,
-        epoch,
-        primary,
-        standby,
-        wins,
-        batch,
-    });
-}
-
-/// Records a replica clearing its shadow-serving probe window after a
-/// failover: bumps `serve.replica_recoveries` and streams an
-/// [`Event::ReplicaRecovered`]. No-op when telemetry is disabled.
-pub fn replica_recovered_event(shard: u64, replica: u64, probes: u64, clock: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("serve.replica_recoveries", 1);
-    dispatch(&Event::Counter {
-        name: "serve.replica_recoveries".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::ReplicaRecovered {
-        shard,
-        replica,
-        probes,
-        clock,
-    });
-}
-
-/// Records a committed durable fleet snapshot: bumps
-/// `store.snapshots_written` and streams an [`Event::SnapshotWritten`].
-/// No-op when telemetry is disabled.
-pub fn snapshot_written_event(shards: u64, epoch: u64, generation: u64, bytes: u64, path: &str) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("store.snapshots_written", 1);
-    dispatch(&Event::Counter {
-        name: "store.snapshots_written".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::SnapshotWritten {
-        shards,
-        epoch,
-        generation,
-        bytes,
-        path: path.to_string(),
-    });
-}
-
-/// Records a fleet restart's restore attempt — warm (a verified
-/// generation was installed) or cold (a typed `StoreError` degraded
-/// recovery to defaults): bumps `store.recoveries` and streams an
-/// [`Event::Recovery`]. No-op when telemetry is disabled.
-pub fn recovery_event(shards: u64, outcome: &str, generation: u64, epoch: u64, detail: &str) {
-    if !is_enabled() {
-        return;
-    }
-    let total = registry().counter_add("store.recoveries", 1);
-    dispatch(&Event::Counter {
-        name: "store.recoveries".to_string(),
-        delta: 1,
-        total,
-    });
-    dispatch(&Event::Recovery {
-        shards,
-        outcome: outcome.to_string(),
-        generation,
-        epoch,
-        detail: detail.to_string(),
-    });
+    dispatch(&event);
 }
 
 #[cfg(test)]
@@ -672,360 +382,20 @@ mod tests {
         });
     }
 
-    #[test]
-    fn lifecycle_events_stream_and_count() {
-        with_global(|| {
-            let sink = Arc::new(MemorySink::new());
-            install(sink.clone());
-            checkpoint_event(100, "out/ckpt.json");
-            rollback_event(200, "non-finite updates", 0.5);
-            lp_fallback_event("bland_retry", false);
-            fault_injected_event("Abilene", 2);
-            let snap = registry().snapshot();
-            assert_eq!(snap.counter("ppo.checkpoints"), Some(1));
-            assert_eq!(snap.counter("ppo.rollbacks"), Some(1));
-            assert_eq!(snap.counter("lp.oracle.fallbacks"), Some(1));
-            assert_eq!(snap.counter("env.fault_injected"), Some(2));
-            uninstall();
-            let events = sink.events();
-            assert!(events
-                .iter()
-                .any(|e| matches!(e, Event::Checkpoint { step: 100, .. })));
-            assert!(events
-                .iter()
-                .any(|e| matches!(e, Event::Rollback { step: 200, .. })));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::LpFallback {
-                    degraded: false,
-                    ..
-                }
-            )));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::FaultInjected {
-                    edges_removed: 2,
-                    ..
-                }
-            )));
-        });
-    }
-
+    /// With no sink installed, `emit` never builds its event.
     #[test]
     fn lifecycle_events_are_inert_when_disabled() {
         with_global(|| {
-            checkpoint_event(1, "x");
-            rollback_event(1, "r", 0.5);
-            lp_fallback_event("s", true);
-            fault_injected_event("g", 1);
-            rung_served_event(0, 1, "fresh", false, 0);
-            breaker_transition_event(0, "closed", "open", 1);
-            worker_restart_event(0, 0, 1, 2);
-            request_shed_event(0, 1, 4);
-            health_transition_event(0, "starting", "healthy", 1);
-            slo_alert_event(
-                0,
-                "serve.fresh_fraction",
-                &SloAlertInfo {
-                    burn_rate: 5.0,
-                    threshold: 4.0,
-                    window: 64,
-                    epoch: 1,
-                },
-            );
-            failover_event(0, 0, 1, "pool_dead", 4);
-            hedge_fired_event(0, 2, 0, 1, 1, 2);
-            replica_recovered_event(0, 0, 8, 9);
-            snapshot_written_event(1, 2, 3, 4, "out/store");
-            recovery_event(1, "cold", 0, 0, "bad_magic");
+            emit(|| panic!("emit built an event while telemetry was disabled"));
             trace_annotation_event(TraceCtx::mint(0, 1), "fleet.admitted", 0, &[]);
-            let snap = registry().snapshot();
-            assert_eq!(snap.counter("ppo.checkpoints"), None);
-            assert_eq!(snap.counter("env.fault_injected"), None);
-            assert_eq!(snap.counter("serve.responses"), None);
-            assert_eq!(snap.counter("serve.shed"), None);
-            assert_eq!(snap.counter("serve.failovers"), None);
-            assert_eq!(snap.counter("serve.hedges_fired"), None);
-            assert_eq!(snap.counter("serve.replica_recoveries"), None);
-            assert_eq!(snap.counter("store.snapshots_written"), None);
-            assert_eq!(snap.counter("store.recoveries"), None);
+            assert_eq!(registry().snapshot(), MetricsSnapshot::default());
         });
-    }
-
-    #[test]
-    fn serve_events_stream_and_count() {
-        with_global(|| {
-            let sink = Arc::new(MemorySink::new());
-            install(sink.clone());
-            rung_served_event(7, 5, "ecmp", true, 11);
-            breaker_transition_event(7, "open", "half_open", 6);
-            worker_restart_event(7, 1, 2, 4);
-            request_shed_event(7, 5, 9);
-            health_transition_event(7, "healthy", "degraded", 6);
-            failover_event(7, 0, 1, "consecutive_degraded", 12);
-            hedge_fired_event(7, 5, 1, 0, 2, 3);
-            replica_recovered_event(7, 0, 6, 30);
-            let snap = registry().snapshot();
-            assert_eq!(snap.counter("serve.responses"), Some(1));
-            assert_eq!(snap.counter("serve.breaker_transitions"), Some(1));
-            assert_eq!(snap.counter("serve.worker_restarts"), Some(1));
-            assert_eq!(snap.counter("serve.shed"), Some(1));
-            assert_eq!(snap.counter("serve.health_transitions"), Some(1));
-            assert_eq!(snap.counter("serve.failovers"), Some(1));
-            assert_eq!(snap.counter("serve.hedges_fired"), Some(1));
-            assert_eq!(snap.counter("serve.replica_recoveries"), Some(1));
-            uninstall();
-            let events = sink.events();
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::RungServed {
-                    shard: 7,
-                    epoch: 5,
-                    shed: true,
-                    ..
-                }
-            )));
-            assert!(events
-                .iter()
-                .any(|e| matches!(e, Event::BreakerTransition { epoch: 6, .. })));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::WorkerRestart {
-                    shard: 7,
-                    worker: 1,
-                    restarts: 2,
-                    backoff_epochs: 4,
-                }
-            )));
-            assert!(events
-                .iter()
-                .any(|e| matches!(e, Event::RequestShed { queue_len: 9, .. })));
-            assert!(events
-                .iter()
-                .any(|e| matches!(e, Event::HealthTransition { epoch: 6, .. })));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::Failover {
-                    shard: 7,
-                    from_replica: 0,
-                    to_replica: 1,
-                    clock: 12,
-                    ..
-                }
-            )));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::HedgeFired {
-                    shard: 7,
-                    primary: 1,
-                    standby: 0,
-                    wins: 2,
-                    batch: 3,
-                    ..
-                }
-            )));
-            assert!(events.iter().any(|e| matches!(
-                e,
-                Event::ReplicaRecovered {
-                    shard: 7,
-                    replica: 0,
-                    probes: 6,
-                    clock: 30,
-                }
-            )));
-        });
-    }
-
-    /// Pins the exact counter set each serve event helper touches, so
-    /// doc/impl drift (the old `rung_served_event` comment claimed it
-    /// also bumped `serve.shed`) fails a test instead of misleading a
-    /// reader.
-    #[test]
-    fn serve_event_helpers_touch_exactly_their_own_counter() {
-        type EmitCase = (&'static str, Box<dyn Fn()>);
-        let cases: Vec<EmitCase> = vec![
-            (
-                "serve.responses",
-                Box::new(|| rung_served_event(1, 2, "fresh", true, 3)),
-            ),
-            (
-                "serve.breaker_transitions",
-                Box::new(|| breaker_transition_event(1, "closed", "open", 2)),
-            ),
-            (
-                "serve.worker_restarts",
-                Box::new(|| worker_restart_event(1, 0, 1, 2)),
-            ),
-            ("serve.shed", Box::new(|| request_shed_event(1, 2, 3))),
-            (
-                "serve.health_transitions",
-                Box::new(|| health_transition_event(1, "healthy", "degraded", 2)),
-            ),
-            (
-                "serve.slo_alerts",
-                Box::new(|| {
-                    slo_alert_event(
-                        1,
-                        "serve.fresh_fraction",
-                        &SloAlertInfo {
-                            burn_rate: 8.0,
-                            threshold: 4.0,
-                            window: 64,
-                            epoch: 2,
-                        },
-                    )
-                }),
-            ),
-            (
-                "serve.failovers",
-                Box::new(|| failover_event(1, 0, 1, "consecutive_degraded", 2)),
-            ),
-            (
-                "serve.hedges_fired",
-                Box::new(|| hedge_fired_event(1, 2, 0, 1, 1, 2)),
-            ),
-            (
-                "serve.replica_recoveries",
-                Box::new(|| replica_recovered_event(1, 0, 8, 2)),
-            ),
-            (
-                "store.snapshots_written",
-                Box::new(|| snapshot_written_event(2, 10, 3, 512, "out/store")),
-            ),
-            (
-                "store.recoveries",
-                Box::new(|| recovery_event(2, "warm", 3, 10, "")),
-            ),
-        ];
-        for (expected_counter, emit) in cases {
-            with_global(|| {
-                let sink = Arc::new(MemorySink::new());
-                install(sink.clone());
-                emit();
-                uninstall();
-                let touched: Vec<String> = sink
-                    .events()
-                    .iter()
-                    .filter_map(|e| match e {
-                        Event::Counter { name, .. } => Some(name.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(
-                    touched,
-                    vec![expected_counter.to_string()],
-                    "helper for {expected_counter} touched the wrong counter set"
-                );
-                assert_eq!(sink.events().len(), 2, "one counter + one typed event");
-            });
-        }
-    }
-
-    /// Streams a counter-bearing sample through its kind's emit helper;
-    /// false for kinds without one.
-    fn emit_sample(event: &Event) -> bool {
-        match event {
-            Event::Checkpoint { step, path } => checkpoint_event(*step, path),
-            Event::Rollback {
-                step,
-                reason,
-                lr_scale,
-            } => rollback_event(*step, reason, *lr_scale),
-            Event::LpFallback { strategy, degraded } => lp_fallback_event(strategy, *degraded),
-            Event::FaultInjected {
-                graph,
-                edges_removed,
-            } => fault_injected_event(graph, *edges_removed),
-            Event::RungServed {
-                shard,
-                epoch,
-                rung,
-                shed,
-                trace,
-            } => rung_served_event(*shard, *epoch, rung, *shed, *trace),
-            Event::BreakerTransition {
-                shard,
-                from,
-                to,
-                epoch,
-            } => breaker_transition_event(*shard, from, to, *epoch),
-            Event::WorkerRestart {
-                shard,
-                worker,
-                restarts,
-                backoff_epochs,
-            } => worker_restart_event(*shard, *worker, *restarts, *backoff_epochs),
-            Event::RequestShed {
-                shard,
-                epoch,
-                queue_len,
-            } => request_shed_event(*shard, *epoch, *queue_len),
-            Event::HealthTransition {
-                shard,
-                from,
-                to,
-                epoch,
-            } => health_transition_event(*shard, from, to, *epoch),
-            Event::SloAlert {
-                shard,
-                metric,
-                burn_rate,
-                threshold,
-                window,
-                epoch,
-            } => slo_alert_event(
-                *shard,
-                metric,
-                &SloAlertInfo {
-                    burn_rate: *burn_rate,
-                    threshold: *threshold,
-                    window: *window,
-                    epoch: *epoch,
-                },
-            ),
-            Event::Failover {
-                shard,
-                from_replica,
-                to_replica,
-                reason,
-                clock,
-            } => failover_event(*shard, *from_replica, *to_replica, reason, *clock),
-            Event::HedgeFired {
-                shard,
-                epoch,
-                primary,
-                standby,
-                wins,
-                batch,
-            } => hedge_fired_event(*shard, *epoch, *primary, *standby, *wins, *batch),
-            Event::ReplicaRecovered {
-                shard,
-                replica,
-                probes,
-                clock,
-            } => replica_recovered_event(*shard, *replica, *probes, *clock),
-            Event::SnapshotWritten {
-                shards,
-                epoch,
-                generation,
-                bytes,
-                path,
-            } => snapshot_written_event(*shards, *epoch, *generation, *bytes, path),
-            Event::Recovery {
-                shards,
-                outcome,
-                generation,
-                epoch,
-                detail,
-            } => recovery_event(*shards, outcome, *generation, *epoch, detail),
-            _ => return false,
-        }
-        true
     }
 
     /// The committed golden stream: every sample's encoded line, then
-    /// the lines each counter-bearing sample streams into a
-    /// `MemorySink` on a cleared registry (its `Counter`, then itself).
+    /// the lines `emit` streams into a `MemorySink` on a cleared
+    /// registry for each counter-bearing sample (its `Counter`, then
+    /// itself).
     #[test]
     fn emitted_events_match_the_golden_stream() {
         let mut stream = String::new();
@@ -1033,20 +403,33 @@ mod tests {
             stream += &(event.to_json().to_string() + "\n");
         }
         for event in event::samples() {
+            if event.counter().is_none() {
+                continue;
+            }
             with_global(|| {
                 let sink = Arc::new(MemorySink::new());
                 install(sink.clone());
-                let emitted = emit_sample(&event);
+                emit(|| event.clone());
                 uninstall();
-                if emitted {
-                    assert_eq!(sink.events().len(), 2, "one counter + one typed event");
-                }
+                assert_eq!(sink.events().len(), 2, "one counter + one typed event");
                 for line in sink.events() {
                     stream += &(line.to_json().to_string() + "\n");
                 }
             });
         }
         assert_eq!(stream, include_str!("../tests/golden_events.jsonl"));
+    }
+
+    #[test]
+    fn every_kind_has_a_sample() {
+        let samples = event::samples();
+        for (kind, counter) in event::KINDS {
+            let sample = samples
+                .iter()
+                .find(|e| e.kind() == *kind)
+                .unwrap_or_else(|| panic!("no sample of kind {kind:?}"));
+            assert_eq!(sample.counter().map(|(name, _)| name), *counter);
+        }
     }
 
     #[test]

@@ -56,21 +56,6 @@ impl Default for FlightRecorderConfig {
     }
 }
 
-/// The shard id an event belongs to, for ring placement.
-fn event_shard(event: &Event) -> Option<u64> {
-    match event {
-        Event::RungServed { shard, .. }
-        | Event::BreakerTransition { shard, .. }
-        | Event::WorkerRestart { shard, .. }
-        | Event::RequestShed { shard, .. }
-        | Event::HealthTransition { shard, .. }
-        | Event::TraceSpan { shard, .. }
-        | Event::TraceAnnotation { shard, .. }
-        | Event::SloAlert { shard, .. } => Some(*shard),
-        _ => None,
-    }
-}
-
 /// FNV-1a over a short string (ring placement for shard-less events).
 fn kind_hash(kind: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -116,7 +101,7 @@ impl FlightRecorder {
     }
 
     fn ring_for(&self, event: &Event) -> &Mutex<VecDeque<(u64, Event)>> {
-        let key = event_shard(event).unwrap_or_else(|| kind_hash(event.kind()));
+        let key = event.shard().unwrap_or_else(|| kind_hash(event.kind()));
         &self.rings[(key % self.rings.len() as u64) as usize]
     }
 
@@ -261,23 +246,28 @@ mod tests {
 
     #[test]
     fn one_noisy_shard_cannot_evict_anothers_history() {
-        let rec = FlightRecorder::new(FlightRecorderConfig {
-            rings: 4,
-            capacity: 8,
-            ..FlightRecorderConfig::default()
-        });
-        rec.record(&served(1, 7));
-        for i in 0..1000 {
-            rec.record(&served(2, i));
-        }
-        assert!(rec.drain_ordered().iter().any(|(_, e)| matches!(
-            e,
-            Event::RungServed {
-                shard: 1,
-                epoch: 7,
-                ..
+        let failover = Event::Failover {
+            shard: 1,
+            from_replica: 0,
+            to_replica: 1,
+            reason: "pool_dead".to_string(),
+            clock: 5,
+        };
+        for (victim, noisy_shard) in [(served(1, 7), 2), (failover, 3)] {
+            let rec = FlightRecorder::new(FlightRecorderConfig {
+                rings: 4,
+                capacity: 8,
+                ..FlightRecorderConfig::default()
+            });
+            rec.record(&victim);
+            for i in 0..1000 {
+                rec.record(&served(noisy_shard, i));
             }
-        )));
+            assert!(
+                rec.drain_ordered().iter().any(|(_, e)| *e == victim),
+                "shard {noisy_shard} evicted {victim:?}"
+            );
+        }
     }
 
     #[test]
