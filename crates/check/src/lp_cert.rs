@@ -5,8 +5,8 @@
 //! primal/dual pair, this module re-derives optimality from first
 //! principles — primal feasibility, dual feasibility (sign conventions
 //! and non-negative reduced costs), complementary slackness, and a
-//! duality gap within tolerance. Together these imply the reported
-//! basis is consistent without ever inspecting the tableau.
+//! duality gap within tolerance. Together these imply optimality
+//! without ever inspecting the solver's basis or its inverse.
 
 use gddr_lp::{LinearProgram, Relation, Solution};
 
@@ -218,5 +218,137 @@ mod tests {
         lp.add_constraint(&[(0, 1.0)], Relation::Le, 9.0);
         let sol = solve(&lp).unwrap();
         assert_eq!(check_certificate(&lp, &sol, DEFAULT_TOL), Vec::new());
+    }
+}
+
+/// The oracle's warm path — [`gddr_lp::CachedOracle::u_opt_checked`]
+/// re-solving each matrix from the basis kept by the one before — held
+/// to the bar of a cold solve: the same optimum within 1e-9 relative,
+/// and a certificate for every solution.
+#[cfg(test)]
+mod warm_tests {
+    use super::*;
+    use gddr_lp::mcf::{min_max_utilisation, WarmStart};
+    use gddr_lp::{CachedOracle, LpError, SolveOptions};
+    use gddr_net::topology::zoo;
+    use gddr_net::Graph;
+    use gddr_rng::rngs::StdRng;
+    use gddr_rng::SeedableRng;
+    use gddr_traffic::{sequence, DemandMatrix};
+
+    /// The matrix with no demand towards node 1: a smaller destination
+    /// set, so it and the matrix after it are solved cold.
+    const HOLE: usize = 51;
+
+    /// 13 diurnal blocks of 8 matrices, each block on a fresh gravity
+    /// base, with matrix [`HOLE`] stripped of its demand towards node 1.
+    fn chain(g: &Graph, seed: u64) -> Vec<DemandMatrix> {
+        let n = g.num_nodes();
+        let total = 500.0 * (n * (n - 1)) as f64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out: Vec<DemandMatrix> = (0..13)
+            .flat_map(|_| sequence::diurnal(n, 8, 24, 0.5, total, &mut rng))
+            .collect();
+        let full = &out[HOLE];
+        out[HOLE] = DemandMatrix::from_fn(n, |s, t| if t == 1 { 0.0 } else { full.get(s, t) });
+        out
+    }
+
+    #[test]
+    fn warm_lookups_match_cold_solves_and_certify() {
+        let opts = SolveOptions::default();
+        for g in [zoo::cesnet(), zoo::abilene(), zoo::nsfnet()] {
+            let name = g.name().to_string();
+            let oracle = CachedOracle::new(g.clone());
+            // Takes the oracle's exact path, and shows its solutions.
+            let mut mirror = WarmStart::default();
+            let (mut run, mut longest, mut rows) = (0, 0, 0);
+            for (i, dm) in chain(&g, 40).iter().enumerate() {
+                let u = oracle.u_opt_checked(dm).unwrap();
+                let (lp, r) = mirror.solve(&g, dm, &opts).unwrap();
+                assert_eq!(r.solution.x.last().unwrap().to_bits(), u.to_bits());
+                let cold = min_max_utilisation(&g, dm).unwrap().u_max;
+                assert!(
+                    (u - cold).abs() <= 1e-9 * cold,
+                    "{name} matrix {i}: warm {u:?} vs cold {cold:?}"
+                );
+                let violations = check_certificate(&lp, &r.solution, DEFAULT_TOL);
+                assert!(violations.is_empty(), "{name} matrix {i}: {violations:?}");
+                let cold_expected = i == 0 || i == HOLE || i == HOLE + 1;
+                assert_eq!(r.warm, !cold_expected, "{name} matrix {i}");
+                if r.warm {
+                    run += r.solution.pivots;
+                    longest = longest.max(run);
+                } else {
+                    run = 0;
+                    rows = rows.max(lp.num_constraints());
+                }
+            }
+            // The inverse is rebuilt every `rows` pivots of one basis.
+            assert!(
+                longest >= rows,
+                "{name}: the longest warm run took {longest} pivots, short of {rows}"
+            );
+            assert_eq!(oracle.stats().misses, 104);
+        }
+    }
+
+    #[test]
+    fn injected_pivot_limit_fails_warm_lookups() {
+        let g = zoo::abilene();
+        let chain = chain(&g, 41);
+        let oracle = CachedOracle::new(g.clone());
+        let mut mirror = WarmStart::default();
+        let zero = SolveOptions {
+            bland_from_start: false,
+            max_pivots: Some(0),
+        };
+        for dm in &chain[..2] {
+            oracle.u_opt_checked(dm).unwrap();
+            mirror.solve(&g, dm, &SolveOptions::default()).unwrap();
+        }
+        // The same traffic, scaled: the kept basis is already optimal.
+        let scaled = chain[1].scaled(1.5);
+        for dm in [&chain[2], &scaled] {
+            oracle.inject_pivot_limit(1);
+            assert!(matches!(
+                oracle.u_opt_checked(dm),
+                Err(LpError::PivotLimit { pivots: 0 })
+            ));
+            assert!(mirror.solve(&g, dm, &zero).is_err());
+        }
+        let (_, r) = mirror.solve(&g, &scaled, &SolveOptions::default()).unwrap();
+        assert!(r.warm);
+        assert_eq!(r.solution.pivots, 0, "the kept basis was already optimal");
+        let u = oracle.u_opt_checked(&scaled).unwrap();
+        assert_eq!(u.to_bits(), r.solution.x.last().unwrap().to_bits());
+    }
+
+    #[test]
+    fn cold_lookups_are_unchanged_by_a_warm_chain() {
+        let g = zoo::abilene();
+        let chain = chain(&g, 42);
+        let served = CachedOracle::new(g.clone());
+        for dm in &chain[..48] {
+            served.u_opt_checked(dm).unwrap();
+        }
+        // Matrices the chain looked up warm, and ones it never saw.
+        for (i, dm) in chain[40..56].iter().enumerate() {
+            let fresh = CachedOracle::new(g.clone());
+            if i % 2 == 0 {
+                let (a, b) = (served.u_opt(dm).unwrap(), fresh.u_opt(dm).unwrap());
+                assert_eq!(a.to_bits(), b.to_bits(), "u_opt, matrix {}", 40 + i);
+            } else {
+                let a = served.u_opt_resilient(dm).unwrap();
+                let b = fresh.u_opt_resilient(dm).unwrap();
+                assert_eq!(
+                    a.u_opt.to_bits(),
+                    b.u_opt.to_bits(),
+                    "resilient, matrix {}",
+                    40 + i
+                );
+                assert!(!a.degraded);
+            }
+        }
     }
 }

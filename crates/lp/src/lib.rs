@@ -7,13 +7,16 @@
 //! Google OR-Tools" (§V-A). OR-Tools is unavailable here, so this crate
 //! provides:
 //!
-//! - [`simplex`]: a from-scratch two-phase dense primal simplex solver
-//!   with a Bland anti-cycling fallback,
+//! - [`simplex`]: a from-scratch revised simplex over a column-sparse
+//!   program with an explicit basis inverse (two phases, Bland
+//!   anti-cycling fallback), plus a dual-simplex re-solve from a kept
+//!   basis when only the right-hand side changed,
 //! - [`mcf`]: the destination-aggregated multicommodity-flow LP that
 //!   computes the optimal (minimum) maximum link utilisation `U_opt`
 //!   for a demand matrix — the denominator of the paper's reward
 //!   (Eq. 2) — plus a per-demand-matrix cache, since the paper's
-//!   cyclical sequences revisit the same matrices.
+//!   cyclical sequences revisit the same matrices, and a kept basis for
+//!   warm re-solves of never-repeating traffic.
 //!
 //! # Example
 //!
@@ -33,5 +36,5 @@
 pub mod mcf;
 pub mod simplex;
 
-pub use mcf::{CacheStats, CachedOracle, McfSolution, OracleValue};
-pub use simplex::{LinearProgram, LpError, Relation, Solution, SolveOptions};
+pub use mcf::{CacheStats, CachedOracle, McfSolution, OracleValue, WarmStart};
+pub use simplex::{LinearProgram, LpError, Relation, Resolved, Solution, SolveOptions};

@@ -33,7 +33,9 @@ use gddr_net::{Graph, NodeId};
 use gddr_telemetry::Event;
 use gddr_traffic::DemandMatrix;
 
-use crate::simplex::{solve_with, LinearProgram, LpError, Relation, SolveOptions};
+use crate::simplex::{
+    resolve, solve_with, Basis, LinearProgram, LpError, Relation, Resolved, SolveOptions,
+};
 
 /// The oracle's answer for one demand matrix.
 #[derive(Debug, Clone)]
@@ -81,7 +83,7 @@ pub fn min_max_utilisation(graph: &Graph, dm: &DemandMatrix) -> Result<McfSoluti
 }
 
 /// [`min_max_utilisation`] under explicit [`SolveOptions`] — the entry
-/// point the resilient oracle's retry ladder uses.
+/// point the resilient oracle's retry ladder uses. Always a cold solve.
 ///
 /// # Errors
 ///
@@ -92,6 +94,30 @@ pub fn min_max_utilisation_with(
     opts: &SolveOptions,
 ) -> Result<McfSolution, LpError> {
     let _span = gddr_telemetry::span("lp.mcf.solve");
+    let (lp, dests) = program(graph, dm)?;
+    let sol = solve_with(&lp, opts)?;
+    let m = graph.num_edges();
+    let mut flows = vec![vec![0.0; m]; graph.num_nodes()];
+    for (d, &t) in dests.iter().enumerate() {
+        flows[t].copy_from_slice(&sol.x[d * m..(d + 1) * m]);
+    }
+    Ok(McfSolution {
+        u_max: sol.x[dests.len() * m],
+        flows,
+    })
+}
+
+/// The destination-aggregated program for `dm` (see the module docs)
+/// and its destinations, the nodes with any incoming demand. Variable
+/// `d * |E| + e` is the flow towards `dests[d]` on edge `e`; the last
+/// variable is `U`. `A` and `c` depend only on the graph and the
+/// destination set; the demands are the right-hand side.
+///
+/// # Errors
+///
+/// [`LpError::InvalidInput`] if the demand matrix does not fit the
+/// graph or contains non-finite entries.
+fn program(graph: &Graph, dm: &DemandMatrix) -> Result<(LinearProgram, Vec<usize>), LpError> {
     let n = graph.num_nodes();
     let m = graph.num_edges();
     if dm.num_nodes() != n {
@@ -142,16 +168,48 @@ pub fn min_max_utilisation_with(
         terms.push((u_var, -graph.capacity(gddr_net::EdgeId(e))));
         lp.add_constraint(&terms, Relation::Le, 0.0);
     }
+    Ok((lp, dests))
+}
 
-    let sol = solve_with(&lp, opts)?;
-    let mut flows = vec![vec![0.0; m]; n];
-    for (d, &t) in dests.iter().enumerate() {
-        flows[t].copy_from_slice(&sol.x[d * m..(d + 1) * m]);
+/// The last optimal basis of one graph's program, keyed by the
+/// destination set it was solved for, and the warm re-solve from it.
+///
+/// Consecutive demand matrices with the same destination set share `A`
+/// and `c`, so [`WarmStart::solve`] re-solves from the kept basis by
+/// dual simplex; a new destination set is a change of shape and is
+/// solved cold. Warm answers can differ from cold ones in the last bits,
+/// so they depend on the matrices solved before.
+#[derive(Debug, Clone, Default)]
+pub struct WarmStart {
+    dests: Vec<usize>,
+    basis: Option<Basis>,
+}
+
+impl WarmStart {
+    /// Solves `dm`'s program on `graph` — warm when the kept basis
+    /// belongs to the same destination set — and keeps the final basis.
+    /// Returns the program with the answer, so that callers can certify
+    /// it; `U` is the last variable.
+    ///
+    /// # Errors
+    ///
+    /// As [`min_max_utilisation_with`], including an explicit
+    /// [`SolveOptions::max_pivots`] budget running out on the warm path.
+    pub fn solve(
+        &mut self,
+        graph: &Graph,
+        dm: &DemandMatrix,
+        opts: &SolveOptions,
+    ) -> Result<(LinearProgram, Resolved), LpError> {
+        let _span = gddr_telemetry::span("lp.mcf.solve");
+        let (lp, dests) = program(graph, dm)?;
+        if dests != self.dests && self.basis.take().is_some() {
+            gddr_telemetry::counter_add("lp.simplex.cold_fallbacks", 1);
+        }
+        self.dests = dests;
+        let resolved = resolve(&lp, opts, &mut self.basis)?;
+        Ok((lp, resolved))
     }
-    Ok(McfSolution {
-        u_max: sol.x[u_var],
-        flows,
-    })
 }
 
 /// Point-in-time cache statistics for a [`CachedOracle`].
@@ -183,11 +241,24 @@ pub struct OracleValue {
     pub degraded: bool,
 }
 
-/// Keyed cache body: the map (value + degraded flag) plus FIFO
-/// insertion order for eviction.
+/// How a cached value was computed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// A cold LP solve: a function of the matrix alone.
+    Cold,
+    /// A warm re-solve by [`CachedOracle::u_opt_checked`]: the same
+    /// optimum, possibly different from a cold solve in the last bits.
+    Warm,
+    /// The shortest-path fallback bound of
+    /// [`CachedOracle::u_opt_resilient`].
+    Degraded,
+}
+
+/// Keyed cache body: the map (value + source) plus FIFO insertion order
+/// for eviction.
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<u64, (f64, bool)>,
+    map: HashMap<u64, (f64, Source)>,
     order: VecDeque<u64>,
 }
 
@@ -199,6 +270,14 @@ struct CacheInner {
 /// O(1) per step. Hit/miss/eviction counts are kept in atomics beside
 /// the map — reading [`CachedOracle::stats`] never widens the cache
 /// lock's critical section.
+///
+/// Warm and cold lookups: [`CachedOracle::u_opt`] and
+/// [`CachedOracle::u_opt_resilient`] solve cold, so their values are a
+/// function of the matrix alone; [`CachedOracle::u_opt_checked`]
+/// re-solves from the last basis it kept ([`WarmStart`]), so its values
+/// may differ from cold ones in the last bits. Each cached value
+/// remembers how it was computed, and a cold lookup never returns a warm
+/// value.
 #[derive(Debug)]
 pub struct CachedOracle {
     graph: Graph,
@@ -211,6 +290,8 @@ pub struct CachedOracle {
     /// Outstanding forced `PivotLimit` failures — the fault-injection
     /// hook ([`CachedOracle::inject_pivot_limit`]).
     forced_failures: AtomicU64,
+    /// The basis [`CachedOracle::u_opt_checked`] re-solves from.
+    warm: Mutex<WarmStart>,
 }
 
 impl CachedOracle {
@@ -238,6 +319,7 @@ impl CachedOracle {
             evictions: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             forced_failures: AtomicU64::new(0),
+            warm: Mutex::new(WarmStart::default()),
         }
     }
 
@@ -286,23 +368,29 @@ impl CachedOracle {
     }
 
     /// Records a cache hit (telemetry + counter) and unpacks the entry.
-    fn record_hit(&self, entry: (f64, bool)) -> OracleValue {
+    fn record_hit(&self, entry: (f64, Source)) -> OracleValue {
         self.hits.fetch_add(1, Ordering::Relaxed);
         gddr_telemetry::counter_add("lp.oracle.hits", 1);
         OracleValue {
             u_opt: entry.0,
-            degraded: entry.1,
+            degraded: entry.1 == Source::Degraded,
         }
+    }
+
+    /// Records a cache miss (telemetry + counter).
+    fn record_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        gddr_telemetry::counter_add("lp.oracle.misses", 1);
     }
 
     /// Inserts (or replaces) an entry, evicts to capacity, and updates
     /// the entries gauge.
-    fn insert(&self, key: u64, u: f64, degraded: bool) {
+    fn insert(&self, key: u64, u: f64, source: Source) {
         let entries = {
             let mut cache = self.lock();
             // A racing thread may have solved the same matrix; only
             // record the key once so FIFO order stays consistent.
-            if cache.map.insert(key, (u, degraded)).is_none() {
+            if cache.map.insert(key, (u, source)).is_none() {
                 cache.order.push_back(key);
             }
             if let Some(cap) = self.capacity {
@@ -326,6 +414,10 @@ impl CachedOracle {
     /// the real LP and replaced, so fallback bounds never leak through
     /// this method (no cache poisoning).
     ///
+    /// Cold: a miss solves from scratch, and an entry cached by a warm
+    /// [`CachedOracle::u_opt_checked`] re-solve is re-solved cold and
+    /// replaced, so the value is a function of `dm` alone.
+    ///
     /// Emits telemetry when enabled: `lp.oracle.hits` / `.misses` /
     /// `.evictions` counters, the `lp.oracle.entries` gauge and an
     /// `lp.oracle.solve` span around cache-miss LP solves.
@@ -335,18 +427,15 @@ impl CachedOracle {
     /// Propagates LP failures (see [`min_max_utilisation`]).
     pub fn u_opt(&self, dm: &DemandMatrix) -> Result<f64, LpError> {
         let key = dm.fingerprint();
-        match self.lock().map.get(&key) {
-            Some(&(_, true)) => {} // Degraded bound: re-solve exactly.
-            Some(&entry) => return Ok(self.record_hit(entry).u_opt),
-            None => {}
+        if let Some(&entry @ (_, Source::Cold)) = self.lock().map.get(&key) {
+            return Ok(self.record_hit(entry).u_opt);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        gddr_telemetry::counter_add("lp.oracle.misses", 1);
+        self.record_miss();
         let sol = {
             let _span = gddr_telemetry::span("lp.oracle.solve");
             min_max_utilisation(&self.graph, dm)?
         };
-        self.insert(key, sol.u_max, false);
+        self.insert(key, sol.u_max, Source::Cold);
         Ok(sol.u_max)
     }
 
@@ -362,33 +451,45 @@ impl CachedOracle {
     /// Exact values only: degraded cache entries are re-solved, and
     /// nothing degraded is ever written back.
     ///
+    /// Warm: a miss re-solves from the basis kept by the previous miss
+    /// when the destination set is unchanged ([`WarmStart`]), and solves
+    /// cold on a change of shape, the pivot cap or a residual failure.
+    /// Its values can therefore differ from [`CachedOracle::u_opt`]'s in
+    /// the last bits and depend on the matrices looked up before. An
+    /// injected fault fails the lookup even when the kept basis is
+    /// already optimal for `dm`.
+    ///
     /// # Errors
     ///
     /// Propagates LP failures, including injected pivot-limit faults.
     pub fn u_opt_checked(&self, dm: &DemandMatrix) -> Result<f64, LpError> {
         let key = dm.fingerprint();
         match self.lock().map.get(&key) {
-            Some(&(_, true)) => {} // Degraded bound: re-solve exactly.
+            Some(&(_, Source::Degraded)) => {} // Re-solve exactly.
             Some(&entry) => return Ok(self.record_hit(entry).u_opt),
             None => {}
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        gddr_telemetry::counter_add("lp.oracle.misses", 1);
+        self.record_miss();
         let forced = self.take_forced_failure();
         let max_pivots = if forced { Some(0) } else { None };
-        let sol = {
+        let resolved = {
             let _span = gddr_telemetry::span("lp.oracle.solve");
-            min_max_utilisation_with(
-                &self.graph,
-                dm,
-                &SolveOptions {
-                    bland_from_start: false,
-                    max_pivots,
-                },
-            )?
+            // A panic mid-solve leaves no basis kept, which is valid.
+            let mut warm = self.warm.lock().unwrap_or_else(|e| e.into_inner());
+            let opts = SolveOptions {
+                bland_from_start: false,
+                max_pivots,
+            };
+            warm.solve(&self.graph, dm, &opts)?.1
         };
-        self.insert(key, sol.u_max, false);
-        Ok(sol.u_max)
+        let u = *resolved.solution.x.last().expect("U is the last variable");
+        let source = if resolved.warm {
+            Source::Warm
+        } else {
+            Source::Cold
+        };
+        self.insert(key, u, source);
+        Ok(u)
     }
 
     /// The optimal max-link utilisation for `dm` with graceful
@@ -407,6 +508,10 @@ impl CachedOracle {
     /// [`CacheStats::fallbacks`]. Non-retryable errors (infeasible,
     /// unbounded, invalid input) propagate unchanged.
     ///
+    /// Cold: every rung solves from scratch, and an entry cached by a
+    /// warm [`CachedOracle::u_opt_checked`] re-solve is re-solved cold,
+    /// so the value is a function of `dm` alone.
+    ///
     /// # Errors
     ///
     /// Propagates LP failures other than [`LpError::PivotLimit`], and
@@ -414,11 +519,11 @@ impl CachedOracle {
     /// (the fallback bound needs connectivity too).
     pub fn u_opt_resilient(&self, dm: &DemandMatrix) -> Result<OracleValue, LpError> {
         let key = dm.fingerprint();
-        if let Some(&entry) = self.lock().map.get(&key) {
-            return Ok(self.record_hit(entry));
+        match self.lock().map.get(&key) {
+            Some(&(_, Source::Warm)) | None => {}
+            Some(&entry) => return Ok(self.record_hit(entry)),
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        gddr_telemetry::counter_add("lp.oracle.misses", 1);
+        self.record_miss();
 
         let forced = self.take_forced_failure();
         let max_pivots = if forced { Some(0) } else { None };
@@ -435,7 +540,7 @@ impl CachedOracle {
         };
         match first {
             Ok(sol) => {
-                self.insert(key, sol.u_max, false);
+                self.insert(key, sol.u_max, Source::Cold);
                 return Ok(OracleValue {
                     u_opt: sol.u_max,
                     degraded: false,
@@ -457,7 +562,7 @@ impl CachedOracle {
                             strategy: "bland_retry".to_string(),
                             degraded: false,
                         });
-                        self.insert(key, sol.u_max, false);
+                        self.insert(key, sol.u_max, Source::Cold);
                         return Ok(OracleValue {
                             u_opt: sol.u_max,
                             degraded: false,
@@ -479,7 +584,7 @@ impl CachedOracle {
             strategy: "shortest_path_bound".to_string(),
             degraded: true,
         });
-        self.insert(key, u_bound, true);
+        self.insert(key, u_bound, Source::Degraded);
         Ok(OracleValue {
             u_opt: u_bound,
             degraded: true,
@@ -893,5 +998,70 @@ mod tests {
             assert!(sol.u_max > 0.0, "{} gave zero utilisation", g.name());
             assert!(sol.u_max.is_finite());
         }
+    }
+
+    fn diurnal_chain(g: &Graph, len: usize, seed: u64) -> Vec<DemandMatrix> {
+        let n = g.num_nodes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        gddr_traffic::sequence::diurnal(n, len, 24, 0.5, 500.0 * (n * (n - 1)) as f64, &mut rng)
+    }
+
+    #[test]
+    fn checked_lookups_re_solve_warm_and_match_cold() {
+        let g = zoo::abilene();
+        let oracle = CachedOracle::new(g.clone());
+        for (i, dm) in diurnal_chain(&g, 24, 13).iter().enumerate() {
+            let warm = oracle.u_opt_checked(dm).unwrap();
+            let cold = min_max_utilisation(&g, dm).unwrap().u_max;
+            assert!(
+                (warm - cold).abs() <= 1e-9 * cold,
+                "matrix {i}: {warm} vs {cold}"
+            );
+        }
+        assert_eq!(oracle.stats().misses, 24);
+    }
+
+    #[test]
+    fn cold_lookups_never_serve_warm_values() {
+        let g = zoo::cesnet();
+        let oracle = CachedOracle::new(g.clone());
+        let chain = diurnal_chain(&g, 6, 14);
+        for dm in &chain {
+            oracle.u_opt_checked(dm).unwrap();
+        }
+        // Warm entries are re-solved cold (a miss each), then hit.
+        let cold = |dm: &DemandMatrix| min_max_utilisation(&g, dm).unwrap().u_max.to_bits();
+        assert_eq!(oracle.u_opt(&chain[3]).unwrap().to_bits(), cold(&chain[3]));
+        assert_eq!(
+            oracle.u_opt_resilient(&chain[4]).unwrap().u_opt.to_bits(),
+            cold(&chain[4])
+        );
+        assert_eq!(oracle.stats().misses, 8);
+        assert_eq!(oracle.u_opt(&chain[3]).unwrap().to_bits(), cold(&chain[3]));
+        assert_eq!(oracle.stats().hits, 1);
+        // A checked lookup accepts any exact entry, warm or cold.
+        oracle.u_opt_checked(&chain[3]).unwrap();
+        oracle.u_opt_checked(&chain[5]).unwrap();
+        assert_eq!(oracle.stats().hits, 3);
+    }
+
+    #[test]
+    fn a_new_destination_set_is_solved_cold() {
+        let g = zoo::cesnet();
+        let chain = diurnal_chain(&g, 3, 15);
+        let mut warm = WarmStart::default();
+        let opts = SolveOptions::default();
+        assert!(!warm.solve(&g, &chain[0], &opts).unwrap().1.warm);
+        assert!(warm.solve(&g, &chain[1], &opts).unwrap().1.warm);
+        // No demand towards node 2: one destination fewer.
+        let n = g.num_nodes();
+        let sparse = DemandMatrix::from_fn(n, |s, t| if t == 2 { 0.0 } else { chain[2].get(s, t) });
+        let (lp, resolved) = warm.solve(&g, &sparse, &opts).unwrap();
+        assert!(!resolved.warm);
+        assert_eq!(lp.num_vars(), (n - 1) * g.num_edges() + 1);
+        let u = *resolved.solution.x.last().unwrap();
+        assert!((u - min_max_utilisation(&g, &sparse).unwrap().u_max).abs() <= 1e-12);
+        // And back to every destination: cold again.
+        assert!(!warm.solve(&g, &chain[2], &opts).unwrap().1.warm);
     }
 }

@@ -512,26 +512,34 @@ impl ShardRouter {
         let outcomes = &outcomes;
         let threads = self.config.threads.min(self.shards.len()).max(1);
 
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || {
-                    // Preferred partition first (thread-per-core
-                    // layout), then steal whatever is still unclaimed.
-                    for pass in 0..2 {
-                        for shard in 0..self.shards.len() {
-                            if pass == 0 && shard % threads != t {
-                                continue;
-                            }
-                            if claims[shard].swap(true, Ordering::SeqCst) {
-                                continue;
-                            }
-                            let outcome = self.drain_shard(shard, &per_shard[shard]);
-                            *lock(&outcomes[shard]) = Some(outcome);
-                        }
+        let drain = move |t: usize| {
+            // Preferred partition first (thread-per-core layout), then
+            // steal whatever is still unclaimed.
+            for pass in 0..2 {
+                for shard in 0..self.shards.len() {
+                    if pass == 0 && shard % threads != t {
+                        continue;
                     }
-                });
+                    if claims[shard].swap(true, Ordering::SeqCst) {
+                        continue;
+                    }
+                    let outcome = self.drain_shard(shard, &per_shard[shard]);
+                    *lock(&outcomes[shard]) = Some(outcome);
+                }
             }
-        });
+        };
+        if threads == 1 {
+            // One drainer runs on the calling thread: no thread per run,
+            // and no allocator arena per short-lived thread. Its spans
+            // are roots, as on a spawned thread.
+            gddr_telemetry::detached(|| drain(0));
+        } else {
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    scope.spawn(move || drain(t));
+                }
+            });
+        }
 
         // Periodic durability, in the serial tail — never on the
         // serving hot path. A failed snapshot is deliberately ignored:

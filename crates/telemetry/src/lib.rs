@@ -66,7 +66,7 @@ pub use progress::Reporter;
 pub use ring::{FlightRecorder, FlightRecorderConfig};
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TeeSink};
 pub use slo::{SloAlertInfo, SloConfig, SloTracker};
-pub use span::SpanGuard;
+pub use span::{detached, SpanGuard};
 pub use trace::{now_us, trace_annotation_event, trace_span_event, TraceCtx};
 
 /// Fast-path gate: true iff a sink is installed.
@@ -322,6 +322,43 @@ mod tests {
                 }
                 other => panic!("expected span, got {other:?}"),
             }
+        });
+    }
+
+    #[test]
+    fn detached_spans_are_roots_and_the_outer_stack_returns() {
+        with_global(|| {
+            let sink = Arc::new(MemorySink::new());
+            install(sink.clone());
+            {
+                let _outer = span("outer");
+                detached(|| {
+                    let _inner = span("detached");
+                });
+                let _after = span("after");
+            }
+            uninstall();
+            let spans: Vec<(String, Option<String>, u64)> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::Span {
+                        name,
+                        parent,
+                        depth,
+                        ..
+                    } => Some((name, parent, depth)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                spans,
+                vec![
+                    ("detached".to_string(), None, 0),
+                    ("after".to_string(), Some("outer".to_string()), 1),
+                    ("outer".to_string(), None, 0),
+                ]
+            );
         });
     }
 

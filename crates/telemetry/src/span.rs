@@ -30,6 +30,21 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Runs `f` with this thread's open spans set aside, so that spans
+/// opened inside it are roots, as on a freshly spawned thread. The outer
+/// spans are restored afterwards, also when `f` unwinds.
+pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = std::mem::take(&mut self.0);
+            SPAN_STACK.with(|stack| *stack.borrow_mut() = outer);
+        }
+    }
+    let _restore = Restore(SPAN_STACK.with(|stack| std::mem::take(&mut *stack.borrow_mut())));
+    f()
+}
+
 /// Live state of an enabled span.
 struct ActiveSpan {
     name: &'static str,
